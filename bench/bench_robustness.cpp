@@ -6,9 +6,10 @@
 //   2. Seal share: CRC time as a fraction of a real compress/decompress
 //      (the v3 whole-payload seal). GATED: the share must stay under 3%
 //      — checksums ride along with codec work, they must never dominate.
-//   3. Frame-CRC wire overhead: client<->server round trips over the pipe
-//      transport with trailers off vs on (non-gating: wall-clock on a
-//      shared runner is weather, the recorded trajectory is the signal).
+//   3. Frame-CRC wire overhead: client<->server round trips through the
+//      EventServer over a socketpair with trailers off vs on (non-gating:
+//      wall-clock on a shared runner is weather, the recorded trajectory
+//      is the signal).
 //   4. Retry plumbing: with_retry success-path overhead per call and the
 //      deterministic backoff schedule of the default policy.
 //
@@ -22,6 +23,8 @@
 //   AESZ_ROBUST_REPS    timing reps, best-of       (default 3)
 //   AESZ_BENCH_JSON     path to also write the JSON array to
 
+#include <sys/socket.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -30,6 +33,7 @@
 
 #include "bench/common.hpp"
 #include "service/client.hpp"
+#include "service/event_loop.hpp"
 #include "service/retry.hpp"
 #include "service/server.hpp"
 #include "service/transport.hpp"
@@ -135,10 +139,16 @@ double bench_seal_share(std::vector<bench::JsonObj>& rows) {
 // ------------------------------------------------- frame-crc overhead --
 
 double wire_round_trips(bool with_crc, const Field& f, std::size_t ops) {
-  auto [client_end, server_end] = svc::PipeTransport::make_pair();
   svc::Server server({1, "", ""});
-  std::thread session([&server, &t = *server_end] { server.serve(t); });
-  svc::Client client(*client_end);
+  int fds[2] = {-1, -1};
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) std::abort();
+  svc::TcpTransport client_end(fds[0]);
+  svc::EventServer::Options one_connection;
+  one_connection.accept_limit = 1;
+  svc::EventServer front(server, one_connection);
+  front.adopt(fds[1]);
+  std::thread session([&front] { front.run(); });
+  svc::Client client(client_end);
   if (with_crc) client.set_frame_crc(true);
   const double s = best_seconds([&] {
     for (std::size_t i = 0; i < ops; ++i) {
@@ -148,7 +158,7 @@ double wire_round_trips(bool with_crc, const Field& f, std::size_t ops) {
       if (!d.ok()) std::abort();
     }
   });
-  client_end->shutdown();
+  client_end.shutdown();
   session.join();
   return s / static_cast<double>(ops);
 }

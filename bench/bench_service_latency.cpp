@@ -1,12 +1,13 @@
 // bench_service_latency — request latency and throughput of the service
-// layer (src/service/) over the in-process pipe transport: a server with a
-// warm codec cache, one synchronous client issuing compress+decompress
-// round trips. Reports p50/p99 per-request latency and requests/s, per
-// codec, as JSON rows (bench::JsonObj).
+// layer (src/service/) through the EventServer front end that aesz_server
+// runs: a server with a warm codec cache, one synchronous client issuing
+// compress+decompress round trips. Reports p50/p99 per-request latency and
+// requests/s, per codec, as JSON rows (bench::JsonObj).
 //
-// The pipe transport keeps the measurement about the service stack itself
-// (framing, dispatch, scheduling, codec work) rather than kernel TCP
-// buffering; on this repo's 1-core CI container absolute numbers are
+// The first two legs connect over an AF_UNIX socketpair the EventServer
+// adopts, which keeps the measurement about the service stack itself
+// (framing, event loop, dispatch, scheduling, codec work) rather than the
+// TCP stack; on this repo's 1-core CI container absolute numbers are
 // modest — the value is tracking them across PRs.
 //
 // Three legs:
@@ -26,10 +27,14 @@
 //   AESZ_SERVICE_CONNS   concurrent TCP clients     (default 4)
 //   AESZ_BENCH_JSON      path to also write the JSON array to
 
+#include <sys/socket.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -57,6 +62,40 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
+/// One connection served by an EventServer on its own thread: the server
+/// adopts one end of a socketpair, the bench talks through `client`.
+/// close() (or the destructor) shuts the client end down and waits until
+/// the server has answered everything and closed its end.
+struct Session {
+  explicit Session(service::Server& server)
+      : front(server, one_connection()) {
+    int fds[2] = {-1, -1};
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+      std::perror("socketpair");
+      std::exit(1);
+    }
+    client = std::make_unique<service::TcpTransport>(fds[0]);
+    front.adopt(fds[1]);
+    loop = std::thread([this] { front.run(); });
+  }
+  ~Session() { close(); }
+  void close() {
+    client->shutdown();
+    if (loop.joinable()) loop.join();
+  }
+  Session(const Session&) = delete;
+  Session& operator=(const Session&) = delete;
+  static service::EventServer::Options one_connection() {
+    service::EventServer::Options opt;
+    opt.accept_limit = 1;
+    return opt;
+  }
+
+  service::EventServer front;
+  std::unique_ptr<service::TcpTransport> client;
+  std::thread loop;
+};
+
 double percentile(std::vector<double> sorted, double p) {
   if (sorted.empty()) return 0.0;
   const std::size_t idx = static_cast<std::size_t>(
@@ -75,7 +114,7 @@ int main() {
       ErrorBound::parse(bench::env_str("AESZ_SERVICE_EB", "rel:1e-2"))
           .value();
 
-  bench::banner("service request latency (pipe transport, warm cache)",
+  bench::banner("service request latency (event server, warm cache)",
                 "service-layer scaling target (ROADMAP north star), not a "
                 "paper figure");
 
@@ -85,11 +124,9 @@ int main() {
               static_cast<double>(f.size() * sizeof(float)) / (1024 * 1024),
               reqs, eb.str().c_str());
 
-  auto [client_end, server_end] = service::PipeTransport::make_pair();
   service::Server server;
-  std::thread session(
-      [&server, &t = *server_end] { server.serve(t); });
-  service::Client client(*client_end);
+  Session session(server);
+  service::Client client(*session.client);
 
   std::vector<bench::JsonObj> json_rows;
   json_rows.push_back(bench::meta_obj());
@@ -150,8 +187,7 @@ int main() {
     json_rows.push_back(row);
   }
 
-  client_end->shutdown();
-  session.join();
+  session.close();
 
   // ---- leg 1.5: client-vs-server latency cross-check -------------------
   // The server's own request_ns_compress/_decompress histograms (stats
@@ -163,9 +199,8 @@ int main() {
   // server histogram and legitimately dominates its tail.
   {
     service::Server xserver;
-    auto [xc, xs] = service::PipeTransport::make_pair();
-    std::thread xsession([&xserver, &t = *xs] { xserver.serve(t); });
-    service::Client xclient(*xc);
+    Session xsession(xserver);
+    service::Client xclient(*xsession.client);
     auto warm = xclient.compress("SZ2.1", f, eb);
     if (!warm.ok()) {
       std::printf("!! xcheck warmup: %s\n", warm.status().str().c_str());
@@ -190,8 +225,7 @@ int main() {
       }
       dms.push_back(t.seconds() * 1e3);
     }
-    xc->shutdown();
-    xsession.join();
+    xsession.close();
     std::sort(cms.begin(), cms.end());
     std::sort(dms.begin(), dms.end());
 
@@ -216,7 +250,7 @@ int main() {
           .add(std::string(what) + "_p50_ratio", ratio);
       // Two histogram buckets of slack (1.25^2) on top: server exec must
       // not exceed client wall by more than quantization, and client wall
-      // must not dwarf server exec (transport is cheap on a pipe).
+      // must not dwarf server exec (transport is cheap on a socketpair).
       if (ratio > 1.5625 || ratio < 0.4) {
         std::printf("!! %s: server/client p50 ratio %.3f outside "
                     "[0.4, 1.5625]\n", what, ratio);
@@ -258,10 +292,8 @@ int main() {
       so.max_batch = max_batch;
       so.batch_delay_us = 2000;
       service::Server batch_server(so);
-      auto [cend, send] = service::PipeTransport::make_pair();
-      std::thread serving(
-          [&batch_server, &t = *send] { batch_server.serve(t); });
-      service::Client bclient(*cend);
+      Session bsession(batch_server);
+      service::Client bclient(*bsession.client);
 
       // Warm the model cache; the steady state is what a service runs in.
       for (auto& r : bclient.compress_many("AE-SZ", ptrs, eb))
@@ -279,8 +311,7 @@ int main() {
       const double wall_s = wall.seconds();
       const double rps =
           wall_s > 0 ? static_cast<double>(rounds * kDepth) / wall_s : 0.0;
-      cend->shutdown();
-      serving.join();
+      bsession.close();
 
       const auto snap = batch_server.snapshot();
       const bool batching = max_batch > 1;

@@ -157,8 +157,15 @@ void EventServer::CompletionQueue::wake() {
 }
 
 EventServer::EventServer(Server& server, TcpListener& listener, Options opt)
+    : EventServer(server, opt) {
+  listener_ = &listener;
+  accepting_ = true;
+  set_nonblocking(listener.fd());
+}
+
+EventServer::EventServer(Server& server, Options opt)
     : server_(server),
-      listener_(listener),
+      listener_(nullptr),
       opt_(opt),
       loop_(opt_.force_poll),
       done_q_(std::make_shared<CompletionQueue>()),
@@ -182,9 +189,7 @@ EventServer::EventServer(Server& server, TcpListener& listener, Options opt)
           "ev_read_pauses", "backpressure read-pause transitions")),
       buffered_high_water_(server.metrics().gauge(
           "ev_buffered_high_water",
-          "max outbound bytes ever buffered on one connection")) {
-  set_nonblocking(listener_.fd());
-}
+          "max outbound bytes ever buffered on one connection")) {}
 
 EventServer::~EventServer() {
   for (auto& [fd, c] : conns_) ::close(fd);
@@ -259,36 +264,42 @@ void EventServer::close_conn(Conn& c) {
   id_to_fd_.erase(c.id);
   connections_.sub(1);
   connections_closed_.inc();
+  ++closed_;
   conns_.erase(c.fd);  // invalidates `c`
 }
 
+void EventServer::stop_accepting() {
+  if (!accepting_) return;
+  accepting_ = false;
+  loop_.remove(listener_->fd());
+}
+
 void EventServer::accept_ready() {
-  for (;;) {
-    if (!accepting_) return;
-    const int fd = ::accept(listener_.fd(), nullptr, nullptr);
+  while (accepting_) {
+    const int fd = ::accept(listener_->fd(), nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       return;  // EAGAIN (drained) or listener trouble — wait for the next
     }
-    set_nonblocking(fd);
-    Conn c;
-    c.fd = fd;
-    c.id = next_conn_id_++;
-    id_to_fd_[c.id] = fd;
-    const std::uint64_t cid = c.id;
-    conns_.emplace(fd, std::move(c));
-    loop_.add(fd, /*want_read=*/true, /*want_write=*/false);
-    connections_.add(1);
-    connections_total_.inc();
-    AESZ_LOG_DEBUG("event", "conn=%" PRIu64 " accepted (fd=%d)", cid, fd);
-    if (opt_.accept_limit > 0 &&
-        connections_total_.value() >=
-            opt_.accept_limit) {
-      accepting_ = false;
-      loop_.remove(listener_.fd());
-      return;
-    }
+    adopt(fd);
   }
+}
+
+void EventServer::adopt(int fd) {
+  set_nonblocking(fd);
+  Conn c;
+  c.fd = fd;
+  c.id = next_conn_id_++;
+  id_to_fd_[c.id] = fd;
+  const std::uint64_t cid = c.id;
+  conns_.emplace(fd, std::move(c));
+  loop_.add(fd, /*want_read=*/true, /*want_write=*/false);
+  connections_.add(1);
+  connections_total_.inc();
+  AESZ_LOG_DEBUG("event", "conn=%" PRIu64 " opened (fd=%d)", cid, fd);
+  ++opened_;
+  if (opt_.accept_limit > 0 && opened_ >= opt_.accept_limit)
+    stop_accepting();
 }
 
 bool EventServer::admit_frame(Conn& c, std::vector<std::uint8_t> frame) {
@@ -491,11 +502,8 @@ void EventServer::drain_completions() {
 void EventServer::run() {
   const int wake_rd = done_q_->wake_rd;
   loop_.add(wake_rd, /*want_read=*/true, /*want_write=*/false);
-  accepting_ = opt_.accept_limit == 0 ||
-               connections_total_.value() <
-                   opt_.accept_limit;
   if (accepting_)
-    loop_.add(listener_.fd(), /*want_read=*/true, /*want_write=*/false);
+    loop_.add(listener_->fd(), /*want_read=*/true, /*want_write=*/false);
 
   std::vector<EventLoop::Event> events;
   bool stopping = false;
@@ -510,7 +518,7 @@ void EventServer::run() {
         drain_completions();
         continue;
       }
-      if (ev.fd == listener_.fd()) {
+      if (accepting_ && ev.fd == listener_->fd()) {
         accept_ready();
         continue;
       }
@@ -528,10 +536,7 @@ void EventServer::run() {
 
     if (stop_.load(std::memory_order_acquire) && !stopping) {
       stopping = true;
-      if (accepting_) {
-        accepting_ = false;
-        loop_.remove(listener_.fd());
-      }
+      stop_accepting();
       std::vector<int> fds;
       fds.reserve(conns_.size());
       for (const auto& [fd, c] : conns_) fds.push_back(fd);
@@ -544,13 +549,11 @@ void EventServer::run() {
     }
 
     const bool limit_done =
-        opt_.accept_limit > 0 &&
-        connections_closed_.value() >=
-            opt_.accept_limit;
+        opt_.accept_limit > 0 && closed_ >= opt_.accept_limit;
     if ((stopping || limit_done) && conns_.empty()) break;
   }
   loop_.remove(wake_rd);
-  if (accepting_) loop_.remove(listener_.fd());
+  stop_accepting();
   // Late completions for connections that no longer exist still need
   // their inflight accounting drained. Completions arriving after this
   // (requests still executing in the pool) land in done_q_, which the

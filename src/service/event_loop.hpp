@@ -54,9 +54,13 @@ class EventLoop {
 };
 
 /// Event-driven multi-client front end over one Server: a single loop
-/// thread multiplexes the listening socket and every client connection
-/// through EventLoop, while request execution stays on the Server's
-/// ThreadPool / batching scheduler via Server::submit().
+/// thread multiplexes the listening socket (if any), every accepted or
+/// adopted client connection and the completion wake pipe through
+/// EventLoop, while request execution stays on the Server's ThreadPool /
+/// batching scheduler via Server::submit(). It is the only request front
+/// end: to serve one already-connected socket until its peer closes, use
+/// the listener-less constructor with `accept_limit = 1`, adopt(fd), then
+/// run().
 ///
 /// Per-connection lifecycle (docs/PROTOCOL.md "connection lifecycle"):
 ///
@@ -83,7 +87,8 @@ class EventLoop {
 /// flush before the connection closes. The loop's ev_* counters and gauges
 /// live in the Server's MetricsRegistry (Server::metrics()), so one stats
 /// or Prometheus metrics frame covers both layers through a single
-/// snapshot.
+/// snapshot; they accumulate across every front end a Server has had,
+/// while accept_limit counts this instance's connections only.
 class EventServer {
  public:
   struct Options {
@@ -95,16 +100,26 @@ class EventServer {
     /// Per-connection outbound byte threshold that pauses reading from
     /// that connection (resumes below half of it).
     std::size_t max_conn_buffered = std::size_t{8} << 20;
-    /// 0 = serve until stop(); N = return from run() once N accepted
-    /// connections have fully closed (the example's --once N mode).
+    /// 0 = serve until stop(); N = stop accepting after N connections
+    /// (accepted or adopted) and return from run() once they have all
+    /// fully closed (the example's --once N mode).
     std::uint64_t accept_limit = 0;
   };
 
   EventServer(Server& server, TcpListener& listener, Options opt);
+  /// No listener: the loop serves only connections handed to adopt().
+  EventServer(Server& server, Options opt);
   ~EventServer();
 
   EventServer(const EventServer&) = delete;
   EventServer& operator=(const EventServer&) = delete;
+
+  /// Serve an already-connected stream socket (e.g. one end of an
+  /// AF_UNIX socketpair) exactly like an accepted connection — accepted
+  /// sockets take this same path — and take ownership of `fd`. It counts
+  /// toward accept_limit. Precondition: call before run(); the loop's
+  /// state is not guarded against a concurrent caller.
+  void adopt(int fd);
 
   /// Run the loop on the calling thread until stop() or accept_limit.
   void run();
@@ -172,6 +187,7 @@ class EventServer {
   };
 
   void accept_ready();
+  void stop_accepting();
   /// Handlers that may close the connection return true when they did —
   /// the Conn reference is dead afterwards and callers must not touch it.
   /// This includes complete()/admit_frame()/parse_frames(): each ends with
@@ -189,11 +205,15 @@ class EventServer {
   void close_conn(Conn& c);
 
   Server& server_;
-  TcpListener& listener_;
+  TcpListener* listener_;  // null for a listener-less (adopt-only) loop
   Options opt_;
   EventLoop loop_;
 
-  bool accepting_ = true;
+  bool accepting_ = false;  // a listener is still taking connections
+  // This instance's connections, for accept_limit; the shared ev_*
+  // counters below also count other front ends on the same Server.
+  std::uint64_t opened_ = 0;
+  std::uint64_t closed_ = 0;
 
   std::map<int, Conn> conns_;                // keyed by fd (loop thread only)
   std::map<std::uint64_t, int> id_to_fd_;    // loop thread only

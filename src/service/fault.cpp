@@ -64,10 +64,6 @@ Status FaultyTransport::send_frame(std::span<const std::uint8_t> frame) {
     }
     const std::uint64_t bit = next_rand() % (frame.size() * 8);
     wire[4 + bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-    if (auto* p = dynamic_cast<PipeTransport*>(inner_.get())) {
-      p->send_raw(wire);
-      return {};
-    }
     if (auto* t = dynamic_cast<TcpTransport*>(inner_.get()))
       return t->send_raw(wire);
     // Unknown inner transport: no raw hook, so the flipped body goes

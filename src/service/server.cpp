@@ -7,7 +7,6 @@
 #include <condition_variable>
 #include <cstring>
 #include <deque>
-#include <future>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -161,10 +160,6 @@ Server::Counters::Counters(obs::MetricsRegistry& m)
           "batched_requests", "requests routed through the batch scheduler")),
       batch_executions(
           m.counter("batch_executions", "compress_batch group executions")),
-      batch_size_1(m.counter("batch_size_1", "groups of size 1")),
-      batch_size_2_3(m.counter("batch_size_2_3", "groups of size 2-3")),
-      batch_size_4_7(m.counter("batch_size_4_7", "groups of size 4-7")),
-      batch_size_8_plus(m.counter("batch_size_8_plus", "groups of size 8+")),
       open_stream_requests(
           m.counter("open_stream_requests", "open-stream frames")),
       append_timestep_requests(
@@ -212,6 +207,8 @@ Server::Histograms::Histograms(obs::MetricsRegistry& m)
           "queue_wait_ns", "admission-to-execution wait nanoseconds")),
       batch_wait_ns(m.histogram(
           "batch_wait_ns", "wait parked with the batch scheduler")),
+      batch_size(m.histogram("batch_size",
+                             "requests per compress_batch group execution")),
       predict_ns(m.histogram("predict_ns",
                              "per-request prediction-stage nanoseconds")),
       quantize_ns(m.histogram("quantize_ns",
@@ -697,39 +694,7 @@ StatsResponse Server::snapshot() const {
       }
     }
   }
-  {
-    // Registration order, so repeated stats frames list providers
-    // deterministically.
-    std::lock_guard<std::mutex> lock(extra_mu_);
-    for (const auto& [name, fn] : extra_stats_)
-      if (fn) fn(out);
-  }
   return out;
-}
-
-void Server::register_stats(const std::string& name,
-                            std::function<void(StatsResponse&)> fn) {
-  std::lock_guard<std::mutex> lock(extra_mu_);
-  for (auto it = extra_stats_.begin(); it != extra_stats_.end(); ++it) {
-    if (it->first == name) {
-      if (fn)
-        it->second = std::move(fn);  // replace in place, keep the position
-      else
-        extra_stats_.erase(it);
-      return;
-    }
-  }
-  if (fn) extra_stats_.emplace_back(name, std::move(fn));
-}
-
-void Server::unregister_stats(const std::string& name) {
-  std::lock_guard<std::mutex> lock(extra_mu_);
-  for (auto it = extra_stats_.begin(); it != extra_stats_.end(); ++it) {
-    if (it->first == name) {
-      extra_stats_.erase(it);
-      return;
-    }
-  }
 }
 
 std::vector<std::uint8_t> Server::handle_stats() {
@@ -928,9 +893,9 @@ std::vector<std::uint8_t> Server::handle_frame(
   }
   if (response.size() > kMaxFrameBytes) {
     // e.g. a sub-cap compressed stream that decodes past the frame cap.
-    // The transport would refuse to send it, and serve()'s writer cannot
-    // substitute anything — the client would hang waiting. Answer with a
-    // typed error instead.
+    // The peer's transport would refuse its length prefix as a framing
+    // violation and drop the connection instead of getting an answer.
+    // Answer with a typed error instead.
     response = error_frame(
         ErrCode::kUnsupported,
         "response (" + std::to_string(response.size()) +
@@ -1120,11 +1085,7 @@ void Server::run_batch(std::vector<BatchJob>& jobs) {
 
   counters_.batch_executions.inc();
   counters_.batched_requests.inc(jobs.size());
-  auto& bucket = jobs.size() >= 8   ? counters_.batch_size_8_plus
-                 : jobs.size() >= 4 ? counters_.batch_size_4_7
-                 : jobs.size() >= 2 ? counters_.batch_size_2_3
-                                    : counters_.batch_size_1;
-  bucket.inc();
+  hists_.batch_size.observe(jobs.size());
 
   // Completion mirrors handle_frame()'s tail: oversize responses become
   // typed errors, bytes_out counts what actually leaves.
@@ -1246,66 +1207,6 @@ void Server::run_batch(std::vector<BatchJob>& jobs) {
     }
   }
   finish_group();
-}
-
-void Server::serve(Transport& transport) {
-  // Pipelined scheduling: the reader keeps pulling frames and submitting
-  // them while earlier requests are still executing (on the pool or with
-  // the batcher — it is this pipelining that gives the batcher same-key
-  // companions to coalesce); the writer thread sends completed responses
-  // strictly in request order, so a client that stacks N requests gets N
-  // responses in the order it asked. The reader stops accepting new
-  // frames while kMaxInflight requests are buffered — without that cap a
-  // client that streams requests without draining responses would grow
-  // server memory without bound (request bytes plus completed responses),
-  // defeating the per-frame size limit.
-  constexpr std::size_t kMaxInflight = 32;
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<std::future<std::vector<std::uint8_t>>> inflight;
-  bool done = false;
-
-  std::thread writer([&] {
-    for (;;) {
-      std::future<std::vector<std::uint8_t>> next;
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return done || !inflight.empty(); });
-        if (inflight.empty()) return;  // done and drained
-        next = std::move(inflight.front());
-        inflight.pop_front();
-      }
-      cv.notify_all();  // a slot freed: unblock a backpressured reader
-      // A failed send means the peer is gone; keep draining futures so
-      // every submitted request still completes.
-      (void)transport.send_frame(next.get());
-    }
-  });
-
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return inflight.size() < kMaxInflight; });
-    }
-    auto frame = transport.recv_frame();
-    if (!frame.ok()) break;  // orderly close or framing violation
-    auto prom =
-        std::make_shared<std::promise<std::vector<std::uint8_t>>>();
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      inflight.push_back(prom->get_future());
-    }
-    cv.notify_all();
-    submit(std::move(*frame), [prom](std::vector<std::uint8_t> response) {
-      prom->set_value(std::move(response));
-    });
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    done = true;
-  }
-  cv.notify_all();
-  writer.join();
 }
 
 }  // namespace aesz::service

@@ -18,7 +18,6 @@
 #include "obs/trace.hpp"
 #include "predictors/compressor.hpp"
 #include "service/protocol.hpp"
-#include "service/transport.hpp"
 #include "temporal/temporal.hpp"
 #include "util/thread_pool.hpp"
 
@@ -42,9 +41,10 @@ namespace aesz::service {
 /// call so their per-block network inference shares forward passes.
 /// Because batched streams are byte-identical to solo streams (see
 /// BatchCompressor), coalescing is invisible to clients except as
-/// throughput. serve() pipelines submit() over a transport: it keeps
-/// reading frames while earlier requests execute and writes responses back
-/// strictly in request order. Codec instances are not required to be
+/// throughput. The EventServer front end (event_loop.hpp) pipelines
+/// submit() per connection: it keeps reading frames while earlier requests
+/// execute and writes responses back strictly in request order. Codec
+/// instances are not required to be
 /// thread-safe, so requests hitting the SAME cached instance serialize on
 /// a per-instance mutex; different codecs (or ranks) run in parallel.
 ///
@@ -110,20 +110,15 @@ class Server {
   /// Async entry point: classify `frame` and either hand it to the
   /// ThreadPool or enqueue it with the batching scheduler. `done` receives
   /// the response frame. Thread-safe; callers needing ordered responses
-  /// sequence completions themselves (serve() does). `conn_id` is the
+  /// sequence completions themselves (EventServer does). `conn_id` is the
   /// submitting front end's connection id, carried into the request's
   /// trace and slow-request log line (0 = no connection identity).
   void submit(std::vector<std::uint8_t> frame, DoneFn done,
               std::uint64_t conn_id = 0);
 
-  /// Serve one connection until the peer closes (or the transport fails).
-  /// Blocking; call from a dedicated thread per connection.
-  void serve(Transport& transport);
-
   /// Snapshot of every registered metric (the same data a stats frame
   /// reports): counters and gauges as named rows, histograms as
-  /// `<name>_count/_sum/_p50/_p90/_p99` summary rows, then any extra rows
-  /// from registered providers.
+  /// `<name>_count/_sum/_p50/_p90/_p99` summary rows.
   StatsResponse snapshot() const;
 
   /// The registry every layer's instruments live in. The EventServer
@@ -131,15 +126,6 @@ class Server {
   /// metrics frame covers Server, sessions, and event loop alike.
   /// References obtained from it stay valid for the Server's lifetime.
   obs::MetricsRegistry& metrics() { return metrics_; }
-
-  /// Register a named provider of extra stats rows appended to
-  /// snapshot() — a thin adapter for front ends that want rows without
-  /// registry instruments. Re-registering a name replaces its provider in
-  /// place; providers run in REGISTRATION order (first registered, first
-  /// emitted) so stats frames stay deterministic.
-  void register_stats(const std::string& name,
-                      std::function<void(StatsResponse&)> fn);
-  void unregister_stats(const std::string& name);
 
   /// Force one idle-session reap pass (normally run opportunistically on
   /// session and stats requests); returns how many sessions it freed.
@@ -249,12 +235,6 @@ class Server {
   bool batch_stop_ = false;
   std::thread batcher_;
 
-  mutable std::mutex extra_mu_;
-  // Registration order, NOT name order — snapshot() promises providers
-  // run first-registered-first.
-  std::vector<std::pair<std::string, std::function<void(StatsResponse&)>>>
-      extra_stats_;
-
   mutable std::mutex sessions_mu_;
   std::map<std::uint64_t, std::shared_ptr<StreamSession>> sessions_;
   std::atomic<std::uint64_t> next_session_id_{1};
@@ -277,14 +257,10 @@ class Server {
     obs::Counter& codec_cache_hits;
     obs::Counter& codec_cache_misses;
     obs::Counter& ae_model_loads;
-    // Batching scheduler: how many requests rode through it, how many
-    // compress_batch group executions ran, and a group-size histogram.
+    // Batching scheduler: how many requests rode through it and how many
+    // compress_batch group executions ran (group sizes: hists_.batch_size).
     obs::Counter& batched_requests;
     obs::Counter& batch_executions;
-    obs::Counter& batch_size_1;
-    obs::Counter& batch_size_2_3;
-    obs::Counter& batch_size_4_7;
-    obs::Counter& batch_size_8_plus;
     // Stream sessions: per-op request counts plus lifecycle totals.
     obs::Counter& open_stream_requests;
     obs::Counter& append_timestep_requests;
@@ -322,6 +298,7 @@ class Server {
     obs::Histogram& request_ns_other;
     obs::Histogram& queue_wait_ns;
     obs::Histogram& batch_wait_ns;
+    obs::Histogram& batch_size;  // requests per compress_batch group
     obs::Histogram& predict_ns;
     obs::Histogram& quantize_ns;
     obs::Histogram& entropy_ns;

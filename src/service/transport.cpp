@@ -6,153 +6,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
-#include <condition_variable>
 #include <cstring>
-#include <deque>
-#include <mutex>
 
 #include "service/protocol.hpp"
 #include "util/crc32c.hpp"
 
 namespace aesz::service {
-
-namespace detail {
-
-class ByteChannel {
- public:
-  /// Soft capacity mirroring a kernel socket buffer: write() blocks while
-  /// the buffer is at/over this, so a peer that never reads bounds the
-  /// channel at cap + one frame instead of growing it without limit.
-  static constexpr std::size_t kMaxBuffered = std::size_t{64} << 20;
-
-  void write(std::span<const std::uint8_t> bytes) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock,
-               [&] { return closed_ || bytes_.size() < kMaxBuffered; });
-      if (closed_) return;  // peer is gone; drop silently like a broken pipe
-      bytes_.insert(bytes_.end(), bytes.begin(), bytes.end());
-    }
-    cv_.notify_all();
-  }
-
-  /// Block until `n` bytes are available and copy them out. Returns false
-  /// when the channel closes with fewer than `n` bytes left (EOF).
-  bool read_exact(std::uint8_t* dst, std::size_t n) {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return closed_ || bytes_.size() >= n; });
-    if (bytes_.size() < n) return false;
-    // Bulk copy + range erase (deque iterators are random-access): a
-    // per-byte front/pop_front loop would hold the lock for millions of
-    // operations on multi-MB frames and dominate pipe latency.
-    const auto first = bytes_.begin();
-    std::copy(first, first + static_cast<std::ptrdiff_t>(n), dst);
-    bytes_.erase(first, first + static_cast<std::ptrdiff_t>(n));
-    cv_.notify_all();  // room freed: unblock a backpressured writer
-    return true;
-  }
-
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return closed_;
-  }
-
-  void close() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      closed_ = true;
-    }
-    cv_.notify_all();
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<std::uint8_t> bytes_;
-  bool closed_ = false;
-};
-
-}  // namespace detail
-
-// ---------------------------------------------------------------- pipe ----
-
-PipeTransport::PipeTransport(std::shared_ptr<detail::ByteChannel> in,
-                             std::shared_ptr<detail::ByteChannel> out)
-    : in_(std::move(in)), out_(std::move(out)) {}
-
-std::pair<std::unique_ptr<PipeTransport>, std::unique_ptr<PipeTransport>>
-PipeTransport::make_pair() {
-  auto a_to_b = std::make_shared<detail::ByteChannel>();
-  auto b_to_a = std::make_shared<detail::ByteChannel>();
-  std::unique_ptr<PipeTransport> a(new PipeTransport(b_to_a, a_to_b));
-  std::unique_ptr<PipeTransport> b(new PipeTransport(a_to_b, b_to_a));
-  return {std::move(a), std::move(b)};
-}
-
-Status PipeTransport::send_frame(std::span<const std::uint8_t> frame) {
-  if (frame.size() > kMaxFrameBytes)
-    return Status::error(ErrCode::kInvalidArgument, "frame exceeds limit");
-  if (out_->closed())
-    return Status::error(ErrCode::kIoError, "pipe closed");
-  const bool with_crc = crc_.load();
-  std::uint32_t len = static_cast<std::uint32_t>(frame.size());
-  if (with_crc) len |= kFrameCrcFlag;
-  std::uint8_t prefix[4];
-  std::memcpy(prefix, &len, 4);
-  out_->write({prefix, 4});
-  out_->write(frame);
-  if (with_crc) {
-    const std::uint32_t crc = util::crc32c(frame);
-    std::uint8_t trailer[kFrameCrcBytes];
-    std::memcpy(trailer, &crc, kFrameCrcBytes);
-    out_->write({trailer, kFrameCrcBytes});
-  }
-  return {};
-}
-
-void PipeTransport::send_raw(std::span<const std::uint8_t> bytes) {
-  out_->write(bytes);
-}
-
-Expected<std::vector<std::uint8_t>> PipeTransport::recv_frame() {
-  std::uint8_t prefix[4];
-  if (!in_->read_exact(prefix, 4))
-    return Status::error(ErrCode::kIoError, "pipe closed");
-  std::uint32_t len = 0;
-  std::memcpy(&len, prefix, 4);
-  const bool has_crc = (len & kFrameCrcFlag) != 0;
-  len &= kFrameLenMask;
-  // Validated BEFORE the allocation the length would size (the CRC flag is
-  // masked off first so a checksummed max-size frame is not misread as an
-  // oversize one).
-  if (len > kMaxFrameBytes)
-    return Status::error(ErrCode::kCorruptStream,
-                         "declared frame length exceeds limit");
-  std::vector<std::uint8_t> frame(len);
-  if (len > 0 && !in_->read_exact(frame.data(), len))
-    return Status::error(ErrCode::kCorruptStream,
-                         "pipe closed mid-frame");
-  if (has_crc) {
-    std::uint8_t trailer[kFrameCrcBytes];
-    if (!in_->read_exact(trailer, kFrameCrcBytes))
-      return Status::error(ErrCode::kCorruptStream,
-                           "pipe closed mid-frame");
-    std::uint32_t want = 0;
-    std::memcpy(&want, trailer, kFrameCrcBytes);
-    if (util::crc32c(frame) != want)
-      return Status::error(ErrCode::kChecksumMismatch,
-                           "frame checksum mismatch");
-    crc_.store(true);  // peer checksums: echo trailers on our sends too
-  }
-  return frame;
-}
-
-void PipeTransport::shutdown() {
-  in_->close();
-  out_->close();
-}
 
 // ----------------------------------------------------------------- tcp ----
 
@@ -344,21 +204,8 @@ Expected<std::unique_ptr<TcpListener>> TcpListener::bind(std::uint16_t port) {
 
 TcpListener::~TcpListener() { close(); }
 
-Expected<std::unique_ptr<TcpTransport>> TcpListener::accept() {
-  if (fd_ < 0) return Status::error(ErrCode::kIoError, "listener closed");
-  for (;;) {
-    const int conn = ::accept(fd_, nullptr, nullptr);
-    if (conn >= 0) return std::make_unique<TcpTransport>(conn);
-    if (errno == EINTR) continue;
-    return Status::error(ErrCode::kIoError,
-                         std::string("accept: ") + std::strerror(errno));
-  }
-}
-
 void TcpListener::close() {
   if (fd_ >= 0) {
-    // shutdown() unblocks a concurrent accept() before the fd goes away.
-    ::shutdown(fd_, SHUT_RDWR);
     ::close(fd_);
     fd_ = -1;
   }

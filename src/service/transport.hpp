@@ -5,7 +5,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "util/expected.hpp"
@@ -20,9 +19,8 @@ namespace aesz::service {
 /// prefix.
 ///
 /// Threading contract: one thread may send while another receives (the
-/// server's pipelined response writer depends on full-duplex operation),
-/// but concurrent sends — or concurrent receives — need external
-/// serialization.
+/// underlying socket is full duplex), but concurrent sends — or concurrent
+/// receives — need external serialization.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -51,53 +49,18 @@ class Transport {
   virtual bool frame_crc() const { return false; }
 };
 
-namespace detail {
-/// One direction of an in-process pipe: an unbounded byte FIFO with
-/// blocking reads and a closed flag (reads drain remaining bytes first).
-class ByteChannel;
-}  // namespace detail
-
-/// In-process transport for deterministic tests: a pair of endpoints
-/// connected by two byte FIFOs, no sockets involved. The wire format is
-/// byte-exact with the TCP transport, so framing violations (a hostile
-/// length prefix injected via send_raw) exercise the same validation path.
-class PipeTransport final : public Transport {
- public:
-  /// Two connected endpoints; frames sent on one arrive at the other.
-  static std::pair<std::unique_ptr<PipeTransport>,
-                   std::unique_ptr<PipeTransport>>
-  make_pair();
-
-  Status send_frame(std::span<const std::uint8_t> frame) override;
-  Expected<std::vector<std::uint8_t>> recv_frame() override;
-  void shutdown() override;
-  void set_frame_crc(bool on) override { crc_.store(on); }
-  bool frame_crc() const override { return crc_.load(); }
-
-  /// Test hook: put raw bytes on the wire with NO length prefix — the way
-  /// to present a hostile/truncated length prefix to the peer's
-  /// recv_frame().
-  void send_raw(std::span<const std::uint8_t> bytes);
-
- private:
-  PipeTransport(std::shared_ptr<detail::ByteChannel> in,
-                std::shared_ptr<detail::ByteChannel> out);
-
-  std::shared_ptr<detail::ByteChannel> in_, out_;
-  std::atomic<bool> crc_{false};
-};
-
-/// TCP loopback transport over a connected socket. Construction paths:
-/// TcpListener::accept() on the server side, TcpTransport::connect() on
-/// the client side. Close/shutdown use ::shutdown so a blocked recv on
-/// another thread returns instead of hanging.
+/// Frame transport over a connected stream socket: TcpTransport::connect()
+/// opens a TCP connection, and the fd constructor adopts any connected
+/// stream socket (a TCP connection, or one end of an AF_UNIX socketpair).
+/// Close/shutdown use ::shutdown so a blocked recv on another thread
+/// returns instead of hanging.
 class TcpTransport final : public Transport {
  public:
   /// Connect to host:port (numeric IPv4 host, e.g. "127.0.0.1").
   static Expected<std::unique_ptr<TcpTransport>> connect(
       const std::string& host, std::uint16_t port);
 
-  /// Adopt an already-connected socket (the listener's accept path).
+  /// Adopt an already-connected stream socket; the transport owns it.
   explicit TcpTransport(int fd);
   ~TcpTransport() override;
 
@@ -117,9 +80,9 @@ class TcpTransport final : public Transport {
   /// frame is fine as long as no single stall exceeds the budget.
   void set_recv_timeout_ms(int ms) { recv_timeout_ms_.store(ms); }
 
-  /// Test hook mirroring PipeTransport::send_raw: put raw bytes on the
-  /// wire with NO length prefix, so fuzzers can present hostile/truncated
-  /// prefixes and split frames at arbitrary byte boundaries.
+  /// Test hook: put raw bytes on the wire with NO length prefix, so
+  /// fuzzers can present hostile/truncated prefixes and split frames at
+  /// arbitrary byte boundaries.
   Status send_raw(std::span<const std::uint8_t> bytes);
 
  private:
@@ -142,14 +105,11 @@ class TcpListener {
   std::uint16_t port() const { return port_; }
 
   /// Underlying listening socket, for readiness-based accept loops (the
-  /// event server polls this instead of blocking in accept()). -1 after
-  /// close(). The listener keeps ownership.
+  /// event server polls it). -1 after close(). The listener keeps
+  /// ownership.
   int fd() const { return fd_; }
 
-  /// Block for the next connection. kIoError after close().
-  Expected<std::unique_ptr<TcpTransport>> accept();
-
-  /// Stop listening and unblock a pending accept(). Idempotent.
+  /// Stop listening. Idempotent.
   void close();
 
  private:

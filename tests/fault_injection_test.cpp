@@ -22,12 +22,15 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
 #include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "data/synth.hpp"
@@ -76,7 +79,7 @@ std::vector<std::uint8_t> small_compress_frame() {
   return svc::encode_compress_request(req);
 }
 
-/// The exact wire image PipeTransport/TcpTransport emit for `frame`:
+/// The exact wire image TcpTransport emits for `frame`:
 /// u32 LE length prefix (bit 31 = CRC flag), body, optional CRC trailer.
 std::vector<std::uint8_t> wire_image(std::span<const std::uint8_t> frame,
                                      bool with_crc) {
@@ -91,6 +94,16 @@ std::vector<std::uint8_t> wire_image(std::span<const std::uint8_t> frame,
     std::memcpy(wire.data() + 4 + frame.size(), &crc, svc::kFrameCrcBytes);
   }
   return wire;
+}
+
+/// Two connected AF_UNIX stream sockets as transports.
+std::pair<std::unique_ptr<svc::TcpTransport>,
+          std::unique_ptr<svc::TcpTransport>>
+transport_pair() {
+  int fds[2] = {-1, -1};
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  return {std::make_unique<svc::TcpTransport>(fds[0]),
+          std::make_unique<svc::TcpTransport>(fds[1])};
 }
 
 /// Server + event loop on a background thread, stopped on destruction.
@@ -141,7 +154,7 @@ TEST(FaultyFile, TearsExactlyAtBudgetAndKeepsLeadingBytes) {
 
 TEST(FaultyTransport, SameSeedSameFaultSchedule) {
   const auto run = [](std::uint64_t seed) {
-    auto [a, b] = svc::PipeTransport::make_pair();
+    auto [a, b] = transport_pair();
     a->set_frame_crc(true);
     svc::FaultyTransport::Options opt;
     opt.seed = seed;
@@ -170,7 +183,7 @@ TEST(FaultyTransport, SameSeedSameFaultSchedule) {
 }
 
 TEST(FaultyTransport, ResetIsPermanentAndUnblocksPeer) {
-  auto [a, b] = svc::PipeTransport::make_pair();
+  auto [a, b] = transport_pair();
   svc::FaultyTransport::Options opt;
   opt.reset_rate = 1.0;
   svc::FaultyTransport faulty(std::move(a), opt);
@@ -189,7 +202,7 @@ TEST(FaultyTransport, ResetIsPermanentAndUnblocksPeer) {
 // ---------------------------------------------------- wire integrity ----
 
 TEST(FrameCrc, FlippedBitIsCaughtAsChecksumMismatch) {
-  auto [a, b] = svc::PipeTransport::make_pair();
+  auto [a, b] = transport_pair();
   a->set_frame_crc(true);
   svc::FaultyTransport::Options opt;
   opt.seed = 7;
@@ -203,7 +216,7 @@ TEST(FrameCrc, FlippedBitIsCaughtAsChecksumMismatch) {
 }
 
 TEST(FrameCrc, ReceiverTurnsStickyAndEchoesTrailers) {
-  auto [a, b] = svc::PipeTransport::make_pair();
+  auto [a, b] = transport_pair();
   a->set_frame_crc(true);
   EXPECT_FALSE(b->frame_crc());
   const auto req = svc::encode_stats_request();
@@ -232,8 +245,8 @@ void sweep_wire(std::span<const std::uint8_t> frame) {
   for (std::size_t bit = 0; bit < wire.size() * 8; ++bit) {
     auto damaged = wire;
     damaged[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-    auto [a, b] = svc::PipeTransport::make_pair();
-    a->send_raw(damaged);
+    auto [a, b] = transport_pair();
+    ASSERT_TRUE(a->send_raw(damaged).ok());
     a->shutdown();  // a short read must end in EOF, not a hang
     auto r = b->recv_frame();
     if (bit >= body_begin && bit < body_end) {
@@ -456,17 +469,23 @@ TEST(Deadline, NestedEnvelopeAndResponseOpsAreRejected) {
 }
 
 TEST(Deadline, ClientDeadlineEnvelopePassesThroughServer) {
-  auto [client_end, server_end] = svc::PipeTransport::make_pair();
   svc::Server server({1, "", ""});
-  std::thread session([&server, &t = *server_end] { server.serve(t); });
-  svc::Client client(*client_end);
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  svc::TcpTransport client_end(fds[0]);
+  svc::EventServer::Options one_connection;
+  one_connection.accept_limit = 1;
+  svc::EventServer front(server, one_connection);
+  front.adopt(fds[1]);
+  std::thread session([&] { front.run(); });
+  svc::Client client(client_end);
   client.set_deadline_ms(60'000);  // generous: proves the envelope path
   const Field f = small_field();
   auto compressed = client.compress("SZ2.1", f, ErrorBound::Abs(1e-2));
   ASSERT_TRUE(compressed.ok()) << compressed.status().str();
   auto codecs = client.list_codecs();
   ASSERT_TRUE(codecs.ok()) << codecs.status().str();
-  client_end->shutdown();
+  client_end.shutdown();
   session.join();
   EXPECT_EQ(server.snapshot().get("deadline_requests"), 2u);
 }

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,6 +18,7 @@
 #include "data/synth.hpp"
 #include "predictors/registry.hpp"
 #include "service/client.hpp"
+#include "service/event_loop.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
 #include "service/transport.hpp"
@@ -23,6 +27,36 @@ namespace aesz {
 namespace {
 
 namespace svc = ::aesz::service;
+
+/// One connection served by an EventServer on its own thread: the server
+/// adopts one end of a socketpair, the test talks through `client`.
+/// close() shuts the client end down and waits until the server has
+/// answered everything and closed its end.
+struct Session {
+  explicit Session(svc::Server& server) : front(server, one_connection()) {
+    int fds[2] = {-1, -1};
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    client = std::make_unique<svc::TcpTransport>(fds[0]);
+    front.adopt(fds[1]);
+    loop = std::thread([this] { front.run(); });
+  }
+  ~Session() { close(); }
+  void close() {
+    client->shutdown();
+    if (loop.joinable()) loop.join();
+  }
+  Session(const Session&) = delete;
+  Session& operator=(const Session&) = delete;
+  static svc::EventServer::Options one_connection() {
+    svc::EventServer::Options opt;
+    opt.accept_limit = 1;
+    return opt;
+  }
+
+  svc::EventServer front;
+  std::unique_ptr<svc::TcpTransport> client;
+  std::thread loop;
+};
 
 AESZ::Options tiny_options() {
   AESZ::Options opt;
@@ -111,22 +145,21 @@ TEST(BatchingScheduler, CoalescesPipelinedRequestsByteIdentically) {
   solo_opt.max_batch = 1;  // coalescing disabled
   svc::Server solo_server(solo_opt);
 
-  auto [client_end, server_end] = svc::PipeTransport::make_pair();
-  std::thread serving([&] { server.serve(*server_end); });
-  svc::Client client(*client_end);
+  Session session(server);
+  svc::Client client(*session.client);
 
   const auto batched = client.compress_many("AE-SZ", ptrs, ErrorBound::Rel(1e-2));
   ASSERT_EQ(batched.size(), 8u);
   for (std::size_t i = 0; i < 8; ++i) ASSERT_TRUE(batched[i].ok()) << i;
 
-  client_end->shutdown();
-  serving.join();
+  session.close();
 
   const auto snap = server.snapshot();
   EXPECT_EQ(snap.get("batched_requests"), 8u);
   EXPECT_GE(snap.get("batch_executions"), 1u);
-  // All eight landed in one group: the >=8 histogram bucket saw it.
-  EXPECT_EQ(snap.get("batch_size_8_plus"), 1u);
+  // All eight landed in one group: one observation of size 8.
+  EXPECT_EQ(snap.get("batch_size_count"), 1u);
+  EXPECT_EQ(snap.get("batch_size_sum"), 8u);
   EXPECT_EQ(snap.get("error_responses"), 0u);
 
   for (std::size_t i = 0; i < 8; ++i) {
@@ -160,8 +193,8 @@ TEST(BatchingScheduler, MixedCodecQueuesDoNotCoalesce) {
   opt.batch_delay_us = 100000;
   svc::Server server(opt);
 
-  auto [client_end, server_end] = svc::PipeTransport::make_pair();
-  std::thread serving([&] { server.serve(*server_end); });
+  Session session(server);
+  svc::TcpTransport& client_end = *session.client;
 
   const auto fields = tiny_fields(4);
   // Interleave: AE-SZ, SZ2.1, AE-SZ, SZ2.1 — pipelined on one connection.
@@ -176,9 +209,9 @@ TEST(BatchingScheduler, MixedCodecQueuesDoNotCoalesce) {
                  floats.size() * sizeof(float)};
     frames.push_back(svc::encode_compress_request(req));
   }
-  for (const auto& f : frames) ASSERT_TRUE(client_end->send_frame(f).ok());
+  for (const auto& f : frames) ASSERT_TRUE(client_end.send_frame(f).ok());
   for (std::size_t i = 0; i < 4; ++i) {
-    auto response = client_end->recv_frame();
+    auto response = client_end.recv_frame();
     ASSERT_TRUE(response.ok()) << i;
     auto parsed = svc::parse_compress_response(*response);
     ASSERT_TRUE(parsed.ok()) << i;
@@ -190,8 +223,7 @@ TEST(BatchingScheduler, MixedCodecQueuesDoNotCoalesce) {
     ASSERT_TRUE(identified.ok());
     EXPECT_EQ(*identified, (i % 2 == 0) ? "AE-SZ" : "SZ2.1");
   }
-  client_end->shutdown();
-  serving.join();
+  session.close();
 
   const auto snap = server.snapshot();
   // Only the two AE-SZ requests rode the batcher.

@@ -333,6 +333,16 @@ TEST(EventServerConcurrency, ResetDuringErrorResponsesDoesNotCorrupt) {
     auto response = occupier->recv_frame();
     ASSERT_TRUE(response.ok());
     EXPECT_TRUE(svc::parse_compress_response(*response).ok());
+    // A storm that outlasts the occupier's batch park can get one stormer
+    // frame admitted into the single slot; the probe needs that slot back,
+    // so wait (bounded) for every admitted request to be answered. An
+    // ev_inflight that never drains to 0 would be a leak.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (h.server.snapshot().get("ev_inflight") != 0 &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ASSERT_EQ(h.server.snapshot().get("ev_inflight"), 0u);
     // ...and a fresh connection round-trips against a healthy server.
     auto probe = h.connect();
     svc::Client client(*probe);
@@ -361,6 +371,39 @@ TEST(EventServerConcurrency, TeardownWithRequestStillExecuting) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     raw.rst_close();
   }  // stop() + join, then ~EventServer, then ~Server completes the job
+}
+
+/// accept_limit counts each front end's own connections: the ev_*
+/// counters are shared through the Server's registry, so counting them
+/// would make a second accept_limit-1 front end on the same Server never
+/// accept. Each of two sequential ones serves one connection and returns.
+TEST(EventServerConcurrency, SequentialFrontEndsEachHonorAcceptLimit) {
+  svc::Server server;
+  svc::EventServer::Options one_connection;
+  one_connection.accept_limit = 1;
+  const Field f = synth::cesm_freqsh(24, 36, 50);
+  for (int round = 0; round < 2; ++round) {
+    auto listener = svc::TcpListener::bind(0);
+    ASSERT_TRUE(listener.ok());
+    svc::EventServer front(server, **listener, one_connection);
+    std::thread loop([&front] { front.run(); });
+    auto conn = svc::TcpTransport::connect("127.0.0.1", (*listener)->port());
+    ASSERT_TRUE(conn.ok());
+    (*conn)->set_recv_timeout_ms(5000);  // an unserved connection fails
+    svc::Client client(**conn);
+    auto result = client.compress("SZ2.1", f, ErrorBound::Rel(1e-2));
+    EXPECT_TRUE(result.ok()) << "round " << round << ": "
+                             << result.status().str();
+    (*conn)->shutdown();
+    // run() returns by itself once its one connection has closed; stop()
+    // only unblocks a loop that never served it, so the failure is not a
+    // hang.
+    if (!result.ok()) front.stop();
+    loop.join();
+  }
+  // The shared export counters still see both connections.
+  EXPECT_EQ(server.snapshot().get("ev_connections_total"), 2u);
+  EXPECT_EQ(server.snapshot().get("ev_connections_closed"), 2u);
 }
 
 /// Stacked pipelined requests all get answered, in order, on one

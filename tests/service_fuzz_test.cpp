@@ -1,11 +1,14 @@
 // Deterministic protocol fuzz layer: seeded-PRNG mutations of valid frames
 // (bit flips, truncation, extension, splicing, hostile length prefixes)
-// pushed through the frame handler, the pipe transport, and the TCP event
-// server. The contract under ASan/UBSan (run_sanitizers.sh): every input
-// produces a typed error frame or a valid response — never a crash, hang,
-// out-of-bounds access, or unbounded allocation.
+// pushed through the frame handler and the event server, over adopted
+// socketpair connections and over TCP. The contract under ASan/UBSan
+// (run_sanitizers.sh): every input produces a typed error frame or a valid
+// response — never a crash, hang, out-of-bounds access, or unbounded
+// allocation.
 
 #include <gtest/gtest.h>
+
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <cstring>
@@ -313,32 +316,38 @@ TEST(ServiceFuzz, SessionOpsSurviveRandomInterleaving) {
   EXPECT_TRUE(svc::parse_compress_response(ok).ok());
 }
 
-/// Pipe-transport-level: mutated bytes INCLUDING the length prefix go
-/// through serve()'s framing; the serving thread must always terminate
-/// (typed response, or orderly close on an un-resynchronizable prefix).
-TEST(ServiceFuzz, PipeTransportSurvivesHostileFraming) {
+/// Adopted-connection level: mutated bytes INCLUDING the length prefix go
+/// through the event server's framing, one fresh accept_limit-1 front end
+/// per connection over the same Server; every run() must return (typed
+/// response, or orderly close on an un-resynchronizable prefix).
+TEST(ServiceFuzz, AdoptedConnectionSurvivesHostileFraming) {
   svc::Server server;
+  svc::EventServer::Options one_connection;
+  one_connection.accept_limit = 1;
   const auto base = corpus();
   for (const auto seed : {0x11ULL, 0x22ULL, 0x33ULL}) {
     Rng rng(seed);
     for (int iter = 0; iter < 40; ++iter) {
-      auto [client_end, server_end] = svc::PipeTransport::make_pair();
-      std::thread serving([&server, &server_end] {
-        server.serve(*server_end);
-      });
+      int fds[2] = {-1, -1};
+      ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+      svc::TcpTransport client_end(fds[0]);
+      svc::EventServer front(server, one_connection);
+      front.adopt(fds[1]);
+      std::thread serving([&front] { front.run(); });
       // A valid framed request, then mutated raw bytes (frame + mangled
-      // prefix), then close.
+      // prefix), then close. Sends may fail once the server has closed
+      // its end after a hostile prefix.
       const auto& a = base[rng.below(base.size())];
       const auto m = mutate(a, base[rng.below(base.size())], rng);
       if (rng.below(2) == 0)
-        (void)client_end->send_frame(a);
+        (void)client_end.send_frame(a);
       std::uint32_t len = static_cast<std::uint32_t>(m.size());
       if (rng.below(3) == 0) len = hostile_len(rng);
       std::uint8_t prefix[4];
       std::memcpy(prefix, &len, 4);
-      client_end->send_raw({prefix, 4});
-      client_end->send_raw(m);
-      client_end->shutdown();
+      (void)client_end.send_raw({prefix, 4});
+      (void)client_end.send_raw(m);
+      client_end.shutdown();
       serving.join();  // must not hang
     }
   }

@@ -1,14 +1,19 @@
-// Service-layer tests: frame protocol hostile-input discipline, pipe/TCP
-// transports, server dispatch + codec/model caching, client round trips.
+// Service-layer tests: frame protocol hostile-input discipline, the
+// socket transport, server dispatch + codec/model caching, client round
+// trips through the EventServer front end.
 // The hostile-frame cases run under ASan/UBSan in CI (run_sanitizers.sh):
 // every truncated/oversized/corrupt frame must come back as a typed error
 // frame — never a crash, OOB read, or unbounded allocation.
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "data/synth.hpp"
@@ -16,6 +21,7 @@
 #include "predictors/registry.hpp"
 #include "progressive/progressive.hpp"
 #include "service/client.hpp"
+#include "service/event_loop.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
 #include "service/transport.hpp"
@@ -47,6 +53,45 @@ std::span<const std::uint8_t> field_bytes(const Field& f) {
   return {reinterpret_cast<const std::uint8_t*>(v.data()),
           v.size() * sizeof(float)};
 }
+
+/// Two connected AF_UNIX stream sockets as transports.
+std::pair<std::unique_ptr<svc::TcpTransport>,
+          std::unique_ptr<svc::TcpTransport>>
+transport_pair() {
+  int fds[2] = {-1, -1};
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  return {std::make_unique<svc::TcpTransport>(fds[0]),
+          std::make_unique<svc::TcpTransport>(fds[1])};
+}
+
+/// One connection served by an EventServer on its own thread: the server
+/// adopts one end of a socketpair, the test talks through `client`. The
+/// destructor shuts the client end down and waits until the server has
+/// closed its end.
+struct Session {
+  explicit Session(svc::Server& server) : front(server, one_connection()) {
+    int fds[2] = {-1, -1};
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    client = std::make_unique<svc::TcpTransport>(fds[0]);
+    front.adopt(fds[1]);
+    loop = std::thread([this] { front.run(); });
+  }
+  ~Session() {
+    client->shutdown();
+    loop.join();
+  }
+  Session(const Session&) = delete;
+  Session& operator=(const Session&) = delete;
+  static svc::EventServer::Options one_connection() {
+    svc::EventServer::Options opt;
+    opt.accept_limit = 1;
+    return opt;
+  }
+
+  svc::EventServer front;
+  std::unique_ptr<svc::TcpTransport> client;
+  std::thread loop;
+};
 
 svc::CompressRequest sample_compress_request(const Field& f) {
   svc::CompressRequest req;
@@ -238,8 +283,8 @@ TEST(Protocol, MismatchedFieldPayloadIsCorruptStream) {
 
 // --------------------------------------------------------- transports ----
 
-TEST(PipeTransport, FrameRoundTripAndShutdown) {
-  auto [client, server] = svc::PipeTransport::make_pair();
+TEST(TcpTransport, FrameRoundTripAndShutdown) {
+  auto [client, server] = transport_pair();
   const std::vector<std::uint8_t> frame{1, 2, 3, 4, 5};
   ASSERT_TRUE(client->send_frame(frame).ok());
   auto received = server->recv_frame();
@@ -257,21 +302,21 @@ TEST(PipeTransport, FrameRoundTripAndShutdown) {
   EXPECT_EQ(client->recv_frame().status().code, ErrCode::kIoError);
 }
 
-TEST(PipeTransport, HostileLengthPrefixIsRejectedBeforeAllocation) {
-  auto [client, server] = svc::PipeTransport::make_pair();
+TEST(TcpTransport, HostileLengthPrefixIsRejectedBeforeAllocation) {
+  auto [client, server] = transport_pair();
   // Declared frame length 0xFFFFFFFF (4 GiB) > kMaxFrameBytes: recv must
   // reject on the prefix alone, without allocating the declared size.
   const std::uint8_t hostile[4] = {0xFF, 0xFF, 0xFF, 0xFF};
-  client->send_raw({hostile, 4});
+  ASSERT_TRUE(client->send_raw({hostile, 4}).ok());
   const auto r = server->recv_frame();
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code, ErrCode::kCorruptStream);
 }
 
-TEST(PipeTransport, TruncatedLengthPrefixSurfacesOnClose) {
-  auto [client, server] = svc::PipeTransport::make_pair();
+TEST(TcpTransport, TruncatedLengthPrefixSurfacesOnClose) {
+  auto [client, server] = transport_pair();
   const std::uint8_t partial[2] = {5, 0};  // half a length prefix
-  client->send_raw({partial, 2});
+  ASSERT_TRUE(client->send_raw({partial, 2}).ok());
   client->shutdown();
   EXPECT_FALSE(server->recv_frame().ok());
 }
@@ -329,13 +374,12 @@ TEST(Server, CorruptStreamDecompressIsTypedErrorFrame) {
 }
 
 /// Acceptance criterion: every registered codec round-trips through the
-/// in-process transport with the error bound verified client-side against
-/// the server-reported resolved bound.
-TEST(Server, EveryRegisteredCodecRoundTripsThroughPipeTransport) {
-  auto [client_end, server_end] = svc::PipeTransport::make_pair();
+/// event server with the error bound verified client-side against the
+/// server-reported resolved bound.
+TEST(Server, EveryRegisteredCodecRoundTripsThroughEventServer) {
   svc::Server server({2, "", "CESM-CLDHGH"});
-  std::thread session([&server, &t = *server_end] { server.serve(t); });
-  svc::Client client(*client_end);
+  Session session(server);
+  svc::Client client(*session.client);
 
   for (const auto& name : reg().names()) {
     // AE-B's convolutional stack is fixed to 3-D fields.
@@ -359,18 +403,14 @@ TEST(Server, EveryRegisteredCodecRoundTripsThroughPipeTransport) {
           << name << " violated its bound through the service";
     }
   }
-
-  client_end->shutdown();
-  session.join();
 }
 
 /// Acceptance criterion: the warm model cache — repeated AE-SZ requests
 /// construct/load the model exactly once, observable via `stats`.
 TEST(Server, AeModelCacheServesRepeatedRequestsWithoutReloading) {
-  auto [client_end, server_end] = svc::PipeTransport::make_pair();
   svc::Server server({1, "", "CESM-CLDHGH"});
-  std::thread session([&server, &t = *server_end] { server.serve(t); });
-  svc::Client client(*client_end);
+  Session session(server);
+  svc::Client client(*session.client);
 
   const Field f = field_for_rank(2);
   // Mixed spellings on purpose: every alias/case must canonicalize onto
@@ -388,9 +428,6 @@ TEST(Server, AeModelCacheServesRepeatedRequestsWithoutReloading) {
   EXPECT_EQ(stats->get("codec_cache_misses"), 1u);
   EXPECT_EQ(stats->get("codec_cache_hits"), 2u);
   EXPECT_EQ(stats->get("error_responses"), 0u);
-
-  client_end->shutdown();
-  session.join();
 }
 
 TEST(Server, StatsCountersTrackTrafficAndErrors) {
@@ -414,31 +451,28 @@ TEST(Server, StatsCountersTrackTrafficAndErrors) {
 /// Pipelined scheduling: a client may stack requests on one connection;
 /// responses come back in request order.
 TEST(Server, PipelinedRequestsGetOrderedResponses) {
-  auto [client_end, server_end] = svc::PipeTransport::make_pair();
   svc::Server server({2, "", "CESM-CLDHGH"});
-  std::thread session([&server, &t = *server_end] { server.serve(t); });
+  Session session(server);
+  svc::TcpTransport& client_end = *session.client;
 
   const Field f = field_for_rank(1);
-  ASSERT_TRUE(client_end->send_frame(svc::encode_stats_request()).ok());
+  ASSERT_TRUE(client_end.send_frame(svc::encode_stats_request()).ok());
   ASSERT_TRUE(client_end
-                  ->send_frame(svc::encode_compress_request(
+                  .send_frame(svc::encode_compress_request(
                       sample_compress_request(f)))
                   .ok());
-  ASSERT_TRUE(client_end->send_frame(svc::encode_list_codecs_request()).ok());
+  ASSERT_TRUE(client_end.send_frame(svc::encode_list_codecs_request()).ok());
 
   const svc::Op expected[] = {svc::Op::kStatsResponse,
                               svc::Op::kCompressResponse,
                               svc::Op::kListCodecsResponse};
   for (const svc::Op want : expected) {
-    auto frame = client_end->recv_frame();
+    auto frame = client_end.recv_frame();
     ASSERT_TRUE(frame.ok()) << frame.status().str();
     const auto op = svc::peek_op(*frame);
     ASSERT_TRUE(op.ok());
     EXPECT_EQ(*op, want);
   }
-
-  client_end->shutdown();
-  session.join();
 }
 
 TEST(Server, ListCodecsMatchesRegistry) {
@@ -537,10 +571,9 @@ TEST(Protocol, MetricsResponseParserRejectsHostileFrames) {
 }
 
 TEST(Server, ClientMetricsFetchesPrometheusText) {
-  auto [client_end, server_end] = svc::PipeTransport::make_pair();
   svc::Server server({1, "", "CESM-CLDHGH"});
-  std::thread session([&server, &t = *server_end] { server.serve(t); });
-  svc::Client client(*client_end);
+  Session session(server);
+  svc::Client client(*session.client);
   const Field f = field_for_rank(2);
   ASSERT_TRUE(client.compress("ZFP", f, ErrorBound::Rel(1e-2)).ok());
   const auto text = client.metrics();
@@ -548,8 +581,6 @@ TEST(Server, ClientMetricsFetchesPrometheusText) {
   EXPECT_NE(text->find("aesz_compress_requests 1\n"), std::string::npos);
   EXPECT_NE(text->find("# TYPE aesz_request_ns_compress histogram\n"),
             std::string::npos);
-  client_end->shutdown();
-  session.join();
 }
 
 TEST(Server, StatsFrameCarriesHistogramSummaryRows) {
@@ -570,40 +601,6 @@ TEST(Server, StatsFrameCarriesHistogramSummaryRows) {
             stats->get("request_ns_compress_p50"));
   EXPECT_EQ(stats->get("request_bytes_in_count"), 1u);
   EXPECT_EQ(stats->get("response_bytes_out_count"), 1u);
-}
-
-TEST(Server, RegisterStatsProvidersRunInRegistrationOrder) {
-  svc::Server server({1, "", "CESM-CLDHGH"});
-  server.register_stats("zz_first", [](svc::StatsResponse& s) {
-    s.counters.emplace_back("zz_row", 1);
-  });
-  server.register_stats("aa_second", [](svc::StatsResponse& s) {
-    s.counters.emplace_back("aa_row", 2);
-  });
-  const auto index_of = [](const svc::StatsResponse& s,
-                           const std::string& name) {
-    for (std::size_t i = 0; i < s.counters.size(); ++i)
-      if (s.counters[i].first == name) return static_cast<long>(i);
-    return -1L;
-  };
-  auto snap = server.snapshot();
-  // Registration order, not name order: zz registered first, emits first.
-  ASSERT_GE(index_of(snap, "zz_row"), 0);
-  ASSERT_GE(index_of(snap, "aa_row"), 0);
-  EXPECT_LT(index_of(snap, "zz_row"), index_of(snap, "aa_row"));
-
-  // Re-registering a name replaces its provider in place, keeping the slot.
-  server.register_stats("zz_first", [](svc::StatsResponse& s) {
-    s.counters.emplace_back("zz_row_v2", 3);
-  });
-  snap = server.snapshot();
-  EXPECT_EQ(index_of(snap, "zz_row"), -1);
-  EXPECT_LT(index_of(snap, "zz_row_v2"), index_of(snap, "aa_row"));
-
-  server.unregister_stats("zz_first");
-  snap = server.snapshot();
-  EXPECT_EQ(index_of(snap, "zz_row_v2"), -1);
-  EXPECT_GE(index_of(snap, "aa_row"), 0);
 }
 
 // ------------------------------------------------------- read-partial ----
@@ -713,11 +710,8 @@ TEST(TcpLoopback, ClientServerRoundTrip) {
   auto listener = svc::TcpListener::bind(0);  // ephemeral port
   ASSERT_TRUE(listener.ok()) << listener.status().str();
   svc::Server server({2, "", "CESM-CLDHGH"});
-  std::thread session([&] {
-    auto conn = (*listener)->accept();
-    ASSERT_TRUE(conn.ok()) << conn.status().str();
-    server.serve(**conn);
-  });
+  svc::EventServer front(server, **listener, Session::one_connection());
+  std::thread loop([&] { front.run(); });
 
   auto transport = svc::TcpTransport::connect("127.0.0.1",
                                               (*listener)->port());
@@ -755,7 +749,7 @@ TEST(TcpLoopback, ClientServerRoundTrip) {
   EXPECT_EQ(stats->get("read_partial_requests"), 1u);
 
   (*transport)->shutdown();
-  session.join();
+  loop.join();  // accept_limit 1: run() returns once this connection closes
 }
 
 }  // namespace
