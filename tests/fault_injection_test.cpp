@@ -27,6 +27,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -320,25 +321,62 @@ TEST(FrameCrc, ClientRoundTripsWithChecksummedFramesOverEventServer) {
 
 // -------------------------------------------------- format integrity ----
 
+/// How many damaged variants of an artifact ended in each verdict
+/// (kOk = decoded intact). Printed as "code=count ..." in ErrCode order so
+/// a changed acceptance set or check order shows up as a readable diff.
+using Verdicts = std::map<ErrCode, std::size_t>;
+
+std::string str(const Verdicts& v) {
+  std::string out;
+  for (const auto& [code, n] : v) {
+    if (!out.empty()) out += ' ';
+    out += errcode_name(code);
+    out += '=';
+    out += std::to_string(n);
+  }
+  return out;
+}
+
+/// Run `probe` on one damaged variant and tally its verdict; a thrown
+/// aesz::Error is still a typed verdict, not a crash.
+template <typename Probe>
+void tally(Verdicts& v, std::span<const std::uint8_t> damaged, Probe& probe) {
+  try {
+    ++v[probe(damaged)];
+  } catch (const Error& e) {
+    ++v[e.code()];
+  }
+}
+
 /// Run `probe` against every single-bit flip of `artifact`. The probe
 /// must return a typed verdict (ok or error) without crashing; the sweep
 /// additionally asserts the checksums actually fire somewhere.
 template <typename Probe>
-void sweep_artifact(std::span<const std::uint8_t> artifact, Probe&& probe,
-                    std::size_t* mismatches_out = nullptr) {
-  std::size_t mismatches = 0;
+Verdicts sweep_artifact(std::span<const std::uint8_t> artifact,
+                        Probe&& probe) {
+  Verdicts v;
   for (std::size_t bit = 0; bit < artifact.size() * 8; ++bit) {
     std::vector<std::uint8_t> damaged(artifact.begin(), artifact.end());
     damaged[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-    try {
-      if (probe(damaged) == ErrCode::kChecksumMismatch) ++mismatches;
-    } catch (const Error& e) {
-      // A thrown aesz::Error is still a typed verdict, not a crash.
-      if (e.code() == ErrCode::kChecksumMismatch) ++mismatches;
-    }
+    tally(v, damaged, probe);
   }
-  EXPECT_GT(mismatches, 0u) << "no flip ever tripped a checksum";
-  if (mismatches_out) *mismatches_out = mismatches;
+  EXPECT_GT(v[ErrCode::kChecksumMismatch], 0u)
+      << "no flip ever tripped a checksum";
+  return v;
+}
+
+/// Run `probe` against every proper prefix of `artifact` (lengths 0 to
+/// size - 1): the truncation counterpart of sweep_artifact.
+template <typename Probe>
+Verdicts sweep_truncations(std::span<const std::uint8_t> artifact,
+                           Probe&& probe) {
+  Verdicts v;
+  for (std::size_t n = 0; n < artifact.size(); ++n) {
+    const std::vector<std::uint8_t> prefix(artifact.begin(),
+                                           artifact.begin() + n);
+    tally(v, prefix, probe);
+  }
+  return v;
 }
 
 constexpr ErrCode kFlipSurvived = ErrCode::kOk;
@@ -347,23 +385,25 @@ TEST(FormatBitFlips, SealedCodecStreamCatchesEveryFlip) {
   auto codec = CodecRegistry::instance().create("SZ2.1", 2).value();
   const Field f = small_field();
   const auto stream = codec->compress(f, ErrorBound::Abs(1e-2));
-  std::size_t mismatches = 0;
   std::size_t undetected = 0;
-  sweep_artifact(
-      stream,
-      [&](std::span<const std::uint8_t> damaged) {
+  Verdicts v =
+      sweep_artifact(stream, [&](std::span<const std::uint8_t> damaged) {
         auto r = codec->decompress(damaged);
         if (r.ok()) ++undetected;
         return r.ok() ? kFlipSurvived : r.status().code;
-      },
-      &mismatches);
+      });
   // The v3 whole-payload CRC covers everything past the fixed header, and
   // header flips hit magic/version/CRC-field checks: NO single-bit flip
   // of a sealed stream may decode successfully.
   EXPECT_EQ(undetected, 0u);
   // Most of the stream is CRC-covered payload.
-  EXPECT_GT(mismatches, stream.size() * 8 / 2);
+  EXPECT_GT(v[ErrCode::kChecksumMismatch], stream.size() * 8 / 2);
 }
+
+// The three container sweeps below pin the EXACT verdict counts, not just
+// "typed or intact": a parser that accepts a different set of damaged
+// inputs, or checks fields in a different order (and so reports a
+// different code for the same damage), changes a count.
 
 TEST(FormatBitFlips, ContainerParseIsTypedOrIntact) {
   // A real AEPC container: the chunked (parallel) compressor's output.
@@ -374,12 +414,18 @@ TEST(FormatBitFlips, ContainerParseIsTypedOrIntact) {
   pipeline::ParallelCompressor chunked(popt, /*rank_hint=*/2);
   const Field f = synth::value_noise_2d(16, 10, 2, 3.0, 71, 0.0);
   const auto artifact = chunked.compress(f, ErrorBound::Abs(1e-2));
-  ASSERT_TRUE(pipeline::is_container(artifact));
+  ASSERT_EQ(CodecRegistry::instance().identify(artifact).value(),
+            "parallel:SZ2.1");
 
-  sweep_artifact(artifact, [&](std::span<const std::uint8_t> damaged) {
+  const auto probe = [&](std::span<const std::uint8_t> damaged) {
     auto info = pipeline::read_container(damaged);
     return info.ok() ? kFlipSurvived : info.status().code;
-  });
+  };
+  EXPECT_EQ(str(sweep_artifact(artifact, probe)),
+            "ok=175 truncated=17 bad_magic=32 bad_header=31 "
+            "corrupt_stream=57 checksum_mismatch=3168");
+  EXPECT_EQ(str(sweep_truncations(artifact, probe)),
+            "truncated=427 bad_header=8");
 }
 
 TEST(FormatBitFlips, TemporalStreamIsTypedOrIntact) {
@@ -390,7 +436,7 @@ TEST(FormatBitFlips, TemporalStreamIsTypedOrIntact) {
     w.append(small_field(0.08 * static_cast<double>(t)));
   const auto artifact = w.bytes();
 
-  sweep_artifact(artifact, [&](std::span<const std::uint8_t> damaged) {
+  const auto probe = [&](std::span<const std::uint8_t> damaged) {
     auto info = temporal::read_stream(damaged);
     if (!info.ok()) return info.status().code;
     // Header bits (dims/eb/gop are not CRC-covered) can flip without
@@ -399,7 +445,22 @@ TEST(FormatBitFlips, TemporalStreamIsTypedOrIntact) {
     if (!reader.ok()) return reader.status().code;
     auto last = (*reader)->read(info->records.size() - 1);
     return last.ok() ? kFlipSurvived : last.status().code;
-  });
+  };
+  EXPECT_EQ(str(sweep_artifact(artifact, probe)),
+            "ok=74 truncated=30 bad_magic=32 bad_header=43 "
+            "corrupt_stream=405 unsupported=28 checksum_mismatch=2524");
+  EXPECT_EQ(str(sweep_truncations(artifact, probe)),
+            "truncated=32 corrupt_stream=360");
+  // The recovery parse sees the same damage through its own walk.
+  const auto recover = [&](std::span<const std::uint8_t> damaged) {
+    auto info = temporal::recover_stream(damaged);
+    return info.ok() ? kFlipSurvived : info.status().code;
+  };
+  EXPECT_EQ(str(sweep_artifact(artifact, recover)),
+            "ok=527 truncated=1 bad_magic=32 bad_header=43 "
+            "checksum_mismatch=2533");
+  EXPECT_EQ(str(sweep_truncations(artifact, recover)),
+            "ok=368 truncated=24");
 }
 
 TEST(FormatBitFlips, ProgressiveStreamIsTypedOrIntact) {
@@ -409,14 +470,19 @@ TEST(FormatBitFlips, ProgressiveStreamIsTypedOrIntact) {
   const Field f = small_field();
   const auto artifact = w.encode(f, ErrorBound::Abs(1e-2));
 
-  sweep_artifact(artifact, [&](std::span<const std::uint8_t> damaged) {
+  const auto probe = [&](std::span<const std::uint8_t> damaged) {
     auto info = progressive::read_stream(damaged);
     if (!info.ok()) return info.status().code;
     auto reader = progressive::ProgressiveReader::open(damaged);
     if (!reader.ok()) return reader.status().code;
-    auto full = (*reader)->read(info->layers.size() - 1);
+    auto full = (*reader)->read(info->present - 1);
     return full.ok() ? kFlipSurvived : full.status().code;
-  });
+  };
+  EXPECT_EQ(str(sweep_artifact(artifact, probe)),
+            "ok=298 truncated=4 bad_magic=32 bad_header=45 "
+            "corrupt_stream=97 unsupported=28 checksum_mismatch=2096");
+  EXPECT_EQ(str(sweep_truncations(artifact, probe)),
+            "ok=2 truncated=323");
 }
 
 // ------------------------------------------------------ deadlines ----

@@ -18,13 +18,14 @@
 //      keeps writing legacy records, so one artifact never mixes formats.
 //
 // Blob provenance: the *Legacy blobs are codec-header v2 / AETC v1 /
-// AEPR v1 (pre-CRC32C, exactly as the checksum PR found them); the
-// current blobs are codec-header v3 / AETC v2 / AEPR v2.
+// AEPR v1 / AEPC v1 (pre-CRC32C, exactly as the checksum PR found them);
+// the current blobs are codec-header v3 / AETC v2 / AEPR v2 / AEPC v2.
 //
 // Regenerating after an intentional change: compress the same inputs
 // (value_noise_2d(12,16,3,4.0,123[,0.08*t]) under abs:1e-3, AETC with
 // inner SZ2.1 / gop 2 / auto mode, AEPR with inner SZ2.1 / the default
-// 3-layer factor-4 ladder) and hex-dump the streams. Never regenerate
+// 3-layer factor-4 ladder, AEPC as parallel:SZ2.1 with chunk_rows 4 and
+// one thread) and hex-dump the streams. Never regenerate
 // the legacy blobs — they pin bytes already in the wild.
 
 #include <gtest/gtest.h>
@@ -37,6 +38,7 @@
 
 #include "data/synth.hpp"
 #include "metrics/metrics.hpp"
+#include "pipeline/parallel_compressor.hpp"
 #include "predictors/registry.hpp"
 #include "progressive/progressive.hpp"
 #include "service/protocol.hpp"
@@ -137,6 +139,30 @@ constexpr char kGoldenAeprLegacy[] =
     "caa831b059579824c5e00f201cdde0614391182f009f28b7580a3ddab8c19f21"
     "be9d2652d2ccc15baff9ce68c7d89ceab542000401010000";
 
+// kGoldenAepcLegacy: 621 bytes — AEPC v1 (no chunk checksums), inner
+// SZ2.1 at codec-header v2, chunk_rows 4 (three chunks), one thread.
+constexpr char kGoldenAepcLegacy[] =
+    "414550430131325a53020c1000fca9f1d24d62503ffca9f1d24d62503f040304"
+    "c10104bd0104c70131325a530202041000fca9f1d24d62503ffca9f1d24d6250"
+    "3f0401010200090606ba08c201aa03009201a401154084810237a2ff01060306"
+    "05060d06070601060606040d0309060105030303060108050805020606060206"
+    "02090f0004070702060205020605052504010605050425040406020506470a19"
+    "06030603050805040604153701050706240605062e5fc705cf258b024cf01822"
+    "f566c364c3b5691db946ff139cba5bcd5ebc1baf092ea1f9655a249051b21d59"
+    "b4f40a00040101000031325a530202041000fca9f1d24d62503ffca9f1d24d62"
+    "503f0401010200070404f60a7c04009001a2010940a0810236aaff0106040105"
+    "030610060e05070c030603050406070605050205040f11010605060106020603"
+    "06020502060106060413010506350405060104060903020604071f0006430301"
+    "060407373b01050e0605061806180628062e3fcea6811d621d93946ddeb5b88a"
+    "4c42fe05b4f64bf4686a218cb702cbdc250e5dd4e40439f3895b6077afdb3105"
+    "00040101000031325a530202041000fca9f1d24d62503ffca9f1d24d62503f04"
+    "010102000906068e0cfb02d5040098019a012540818302328eff010601061c06"
+    "090602060806080607060106070604060306030602060606041d200205020603"
+    "060406010604050106010502050205090501050104030403060506041d030306"
+    "05041b0406050601054b000405390b0604060f060b069802062d7f26e08803cb"
+    "dcbf2b193ce49a4c77ee6cf6f8283f5cdcae9e1ba32f38d1f4ad240229557aca"
+    "5544c88032d102000401010000";
+
 // ---------------------------------------------------------- current pins
 
 // kGoldenSz21: 387 bytes, codec-header v3 (whole-payload CRC32C).
@@ -226,6 +252,31 @@ constexpr char kGoldenAepr[] =
     "4a490cc00183800205feff0103010205013803362fa5f131caa831b059579824"
     "c5e00f201cdde0614391182f009f28b7580a3ddab8c19f21be9d2652d2ccc15b"
     "aff9ce68c7d89ceab542000401010000";
+
+// kGoldenAepc: 645 bytes — AEPC v2 (per-chunk CRC32C in the table), inner
+// SZ2.1 at codec-header v3, chunk_rows 4, one thread.
+constexpr char kGoldenAepc[] =
+    "414550430231325a53020c1000fca9f1d24d62503ffca9f1d24d62503f040304"
+    "c501afc38abf04c1015c4a5a0704cb01f57aa7e231325a5303019972ca020410"
+    "00fca9f1d24d62503ffca9f1d24d62503f0401010200090606ba08c201aa0300"
+    "9201a401154084810237a2ff0106030605060d06070601060606040d03090601"
+    "0503030306010805080502060606020602090f00040707020602050206050525"
+    "04010605050425040406020506470a1906030603050805040604153701050706"
+    "240605062e5fc705cf258b024cf01822f566c364c3b5691db946ff139cba5bcd"
+    "5ebc1baf092ea1f9655a249051b21d59b4f40a00040101000031325a5303f74c"
+    "bd2302041000fca9f1d24d62503ffca9f1d24d62503f0401010200070404f60a"
+    "7c04009001a2010940a0810236aaff0106040105030610060e05070c03060305"
+    "0406070605050205040f11010605060106020603060205020601060604130105"
+    "06350405060104060903020604071f0006430301060407373b01050e06050618"
+    "06180628062e3fcea6811d621d93946ddeb5b88a4c42fe05b4f64bf4686a218c"
+    "b702cbdc250e5dd4e40439f3895b6077afdb310500040101000031325a5303fa"
+    "9888d202041000fca9f1d24d62503ffca9f1d24d62503f04010102000906068e"
+    "0cfb02d5040098019a012540818302328eff010601061c060906020608060806"
+    "07060106070604060306030602060606041d2002050206030604060106040501"
+    "06010502050205090501050104030403060506041d03030605041b0406050601"
+    "054b000405390b0604060f060b069802062d7f26e08803cbdcbf2b193ce49a4c"
+    "77ee6cf6f8283f5cdcae9e1ba32f38d1f4ad240229557aca5544c88032d10200"
+    "0401010000";
 
 std::vector<std::uint8_t> from_hex(const char* hex) {
   const std::string s(hex);
@@ -450,6 +501,51 @@ TEST(GoldenAepr, FutureContainerVersionIsRefusedTyped) {
   auto cut = progressive::truncate_to_bytes(stream, stream.size());
   ASSERT_FALSE(cut.ok());
   EXPECT_EQ(cut.status().code, ErrCode::kBadHeader);
+}
+
+// The AEPC pins: parallel:SZ2.1 with a fixed chunk geometry (chunk_rows
+// 4 over the 12-row field = three chunks) and one thread.
+pipeline::ParallelCompressor golden_chunked() {
+  pipeline::ParallelCompressor::Options opt;
+  opt.inner = "SZ2.1";
+  opt.threads = 1;
+  opt.chunk_rows = 4;
+  return pipeline::ParallelCompressor(opt, /*rank_hint=*/2);
+}
+
+TEST(GoldenAepc, YesterdaysContainerStillDecodesInBound) {
+  const Field f = golden_field();
+  auto codec = CodecRegistry::instance().create("parallel:SZ2.1", 2).value();
+  for (const char* hex : {kGoldenAepcLegacy, kGoldenAepc}) {
+    const auto golden = from_hex(hex);
+    auto recon = codec->decompress(golden);
+    ASSERT_TRUE(recon.ok()) << recon.status().str();
+    ASSERT_EQ(recon->dims(), f.dims());
+    EXPECT_LE(metrics::max_abs_err(f.values(), recon->values()),
+              kEb * (1 + 1e-9));
+  }
+}
+
+TEST(GoldenAepc, TodaysWriterReproducesTheContainerByteForByte) {
+  const auto golden = from_hex(kGoldenAepc);
+  auto chunked = golden_chunked();
+  const auto now = chunked.compress(golden_field(), ErrorBound::Abs(kEb));
+  ASSERT_EQ(now.size(), golden.size())
+      << "AEPC stream size changed — format break without a version bump?";
+  EXPECT_EQ(now, golden);
+}
+
+TEST(GoldenAepc, FutureContainerVersionIsRefusedTyped) {
+  auto stream = from_hex(kGoldenAepc);
+  stream[4] = 0x63;  // AEPC puts the format version at byte 4 too
+  auto codec = CodecRegistry::instance().create("parallel:SZ2.1", 2).value();
+  auto recon = codec->decompress(stream);
+  ASSERT_FALSE(recon.ok());
+  EXPECT_EQ(recon.status().code, ErrCode::kBadHeader) << recon.status().str();
+  // identify() refuses it identically: the version is part of the peek.
+  auto id = CodecRegistry::instance().identify(stream);
+  ASSERT_FALSE(id.ok());
+  EXPECT_EQ(id.status().code, ErrCode::kBadHeader);
 }
 
 /// Stats-frame wire compatibility across the observability PR: the frame
