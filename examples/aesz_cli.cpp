@@ -38,6 +38,7 @@
 #include "core/aesz.hpp"
 #include "core/model_zoo.hpp"
 #include "data/synth.hpp"
+#include "format/container.hpp"
 #include "metrics/assessment.hpp"
 #include "metrics/metrics.hpp"
 #include "pipeline/parallel_compressor.hpp"
@@ -349,8 +350,10 @@ int cmd_compress(const CliArgs& args) {
 int cmd_decompress(const CliArgs& args) {
   AESZ_CHECK_MSG(args.positional().size() == 1, "need one input file");
   const auto stream = read_file(args.positional()[0]);
+  const auto pre = format::peek(stream);
+  const std::uint32_t container = pre.ok() ? pre->magic : 0;
 
-  if (temporal::is_temporal(stream)) {
+  if (container == format::kAetc.magic) {
     // AETC temporal stream: decode the timestep --timestep asks for.
     const auto t = static_cast<std::size_t>(args.get_long("timestep", 0));
     auto reader = temporal::TemporalReader::open(
@@ -374,7 +377,7 @@ int cmd_decompress(const CliArgs& args) {
     return 0;
   }
 
-  if (progressive::is_progressive(stream)) {
+  if (container == format::kAepr.magic) {
     // AEPR progressive stream: --budget/--bound pick a layer prefix
     // (table math, nothing decoded beyond the prefix); neither flag
     // decodes every layer present — the exact archival bound.

@@ -1,37 +1,11 @@
 #include "pipeline/container.hpp"
 
 #include <cmath>
-#include <string>
 
-#include "sz/common.hpp"
 #include "util/crc32c.hpp"
 #include "util/error.hpp"
 
 namespace aesz::pipeline {
-
-bool is_container(std::span<const std::uint8_t> stream) {
-  ByteReader r(stream);
-  std::uint32_t magic = 0;
-  return r.try_get(magic) && magic == kContainerMagic;
-}
-
-Expected<std::uint32_t> peek_inner_magic(
-    std::span<const std::uint8_t> stream) {
-  ByteReader r(stream);
-  std::uint32_t magic = 0;
-  std::uint8_t version = 0;
-  std::uint32_t inner = 0;
-  if (!r.try_get(magic))
-    return Status::error(ErrCode::kTruncated, "stream too short for magic");
-  if (magic != kContainerMagic)
-    return Status::error(ErrCode::kBadMagic, "not a container stream");
-  if (!r.try_get(version) || !r.try_get(inner))
-    return Status::error(ErrCode::kTruncated, "truncated container header");
-  if (version != kContainerVersion && version != kContainerVersionV1)
-    return Status::error(ErrCode::kBadHeader,
-                         "unsupported container version");
-  return inner;
-}
 
 std::vector<std::uint8_t> write_container(
     std::uint32_t inner_magic, const Dims& dims, const ErrorBound& eb,
@@ -42,13 +16,11 @@ std::vector<std::uint8_t> write_container(
                  "chunk/payload count mismatch");
   AESZ_CHECK_ARG(!chunks.empty(), "container needs at least one chunk");
   ByteWriter w;
-  w.put(kContainerMagic);
-  w.put(kContainerVersion);
-  w.put(inner_magic);
-  w.put(static_cast<std::uint8_t>(dims.rank));
-  for (int i = 0; i < dims.rank; ++i) w.put_varint(dims[i]);
-  w.put(static_cast<std::uint8_t>(eb.mode()));
-  w.put(eb.value());
+  format::Preamble pre;
+  pre.inner_magic = inner_magic;
+  pre.dims = dims;
+  pre.eb = eb;
+  format::write_preamble(w, format::kAepc, pre);
   w.put(abs_eb);
   w.put_varint(chunk_rows);
   w.put_varint(chunks.size());
@@ -64,31 +36,17 @@ std::vector<std::uint8_t> write_container(
 Expected<ContainerInfo> read_container(
     std::span<const std::uint8_t> stream) {
   ByteReader r(stream);
-  std::uint32_t magic = 0;
-  if (!r.try_get(magic))
-    return Status::error(ErrCode::kTruncated, "stream too short for magic");
-  if (magic != kContainerMagic)
-    return Status::error(ErrCode::kBadMagic, "container magic mismatch");
-  std::uint8_t version = 0;
   ContainerInfo info;
-  if (!r.try_get(version) || !r.try_get(info.inner_magic))
-    return Status::error(ErrCode::kTruncated, "truncated container header");
-  if (version != kContainerVersion && version != kContainerVersionV1)
-    return Status::error(ErrCode::kBadHeader,
-                         "unsupported container version");
-  const bool has_crc = version >= kContainerVersion;
-  if (Status s = sz::read_dims_checked(r, info.dims); !s.ok()) return s;
-  const int rank = info.dims.rank;
-  std::uint8_t mode = 0;
-  double eb_value = 0.0;
-  if (!r.try_get(mode) || !r.try_get(eb_value) || !r.try_get(info.abs_eb))
+  if (Status s = format::read_preamble(r, format::kAepc, info); !s.ok())
+    return s;
+  const bool has_crc = info.version >= kContainerVersion;
+  // mode | value | abs-bound are all read before any of them is checked.
+  if (!r.try_get(info.abs_eb))
     return Status::error(ErrCode::kTruncated, "truncated bound fields");
-  if (mode > static_cast<std::uint8_t>(EbMode::kPSNR))
-    return Status::error(ErrCode::kBadHeader, "bad error-bound mode");
-  if (!std::isfinite(eb_value) || !std::isfinite(info.abs_eb) ||
-      info.abs_eb < 0)
+  if (Status s = format::check_bound(info.eb, /*usable=*/false); !s.ok())
+    return s;
+  if (!std::isfinite(info.abs_eb) || info.abs_eb < 0)
     return Status::error(ErrCode::kBadHeader, "bad error-bound value");
-  info.eb = ErrorBound(static_cast<EbMode>(mode), eb_value);
 
   std::uint64_t chunk_rows = 0, chunk_count = 0;
   if (!r.try_get_varint(chunk_rows) || !r.try_get_varint(chunk_count))
@@ -101,10 +59,8 @@ Expected<ContainerInfo> read_container(
     return Status::error(ErrCode::kBadHeader, "bad chunk count");
   info.chunk_rows = static_cast<std::size_t>(chunk_rows);
 
-  std::size_t stride = 1;
-  for (int i = 1; i < rank; ++i) stride *= info.dims[i];
   info.chunks.reserve(static_cast<std::size_t>(chunk_count));
-  std::vector<std::uint64_t> lengths;
+  std::vector<std::size_t> lengths;
   lengths.reserve(static_cast<std::size_t>(chunk_count));
   std::vector<std::uint32_t> crcs;
   if (has_crc) crcs.reserve(static_cast<std::size_t>(chunk_count));
@@ -127,35 +83,19 @@ Expected<ContainerInfo> read_container(
     if (nbytes > r.remaining() || payload_total > r.remaining() - nbytes)
       return Status::error(ErrCode::kTruncated,
                            "chunk payload exceeds stream");
-    ChunkSpec c;
-    c.row0 = static_cast<std::size_t>(row0);
-    c.rows = static_cast<std::size_t>(rows);
-    c.dims = info.dims;
-    c.dims.d[0] = c.rows;
-    c.elem0 = c.row0 * stride;
-    c.elems = c.rows * stride;
-    info.chunks.push_back(c);
-    lengths.push_back(nbytes);
+    info.chunks.push_back(make_chunk(info.dims, static_cast<std::size_t>(row0),
+                                     static_cast<std::size_t>(rows)));
+    lengths.push_back(static_cast<std::size_t>(nbytes));
     row0 += rows;
     payload_total += nbytes;
   }
   if (row0 != info.dims[0])
     return Status::error(ErrCode::kCorruptStream,
                          "chunk table does not cover the field");
-  if (payload_total != r.remaining())
-    return Status::error(ErrCode::kCorruptStream,
-                         "container payload size mismatch");
-  info.payloads.reserve(lengths.size());
-  for (std::size_t i = 0; i < lengths.size(); ++i) {
-    std::span<const std::uint8_t> p;
-    if (!r.try_get_bytes(static_cast<std::size_t>(lengths[i]), p))
-      return Status::error(ErrCode::kTruncated, "truncated chunk payload");
-    if (has_crc && util::crc32c(p) != crcs[i])
-      return Status::error(ErrCode::kChecksumMismatch,
-                           "chunk " + std::to_string(i) +
-                               " checksum mismatch");
-    info.payloads.push_back(p);
-  }
+  auto payloads = format::slice_entries(r.rest(), lengths, crcs,
+                                        /*allow_prefix=*/false, "chunk");
+  if (!payloads.ok()) return payloads.status();
+  info.payloads = std::move(*payloads);
   return info;
 }
 

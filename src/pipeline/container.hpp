@@ -4,6 +4,7 @@
 #include <span>
 #include <vector>
 
+#include "format/container.hpp"
 #include "pipeline/sharder.hpp"
 #include "predictors/error_bound.hpp"
 #include "util/bytestream.hpp"
@@ -12,16 +13,16 @@
 
 namespace aesz::pipeline {
 
-/// Multi-chunk container stream format (version 2). A container wraps N
-/// independently compressed chunk streams of ANY registered codec without
-/// touching the inner format — each payload is a complete, self-describing
-/// stream of the inner codec. Layout (little-endian, varint = LEB128):
+/// Multi-chunk container stream format (version 2, "AEPC"). A container
+/// wraps N independently compressed chunk streams of ANY registered codec
+/// without touching the inner format — each payload is a complete,
+/// self-describing stream of the inner codec. Layout (little-endian,
+/// varint = LEB128):
 ///
-///   container magic u32 | version u8 | inner codec magic u32 |
-///   rank u8 | dims varint* | eb-mode u8 | eb-value f64 | abs-bound f64 |
-///   chunk-rows varint | chunk-count varint |
-///   per chunk: rows varint, byte-length varint, crc32c u32 (v2+) |
-///   concatenated chunk payloads
+///   header   container preamble (identity = inner codec magic u32) |
+///            abs-bound f64 | chunk-rows varint | chunk-count varint |
+///            per chunk: rows varint, byte-length varint, crc32c u32 (v2+)
+///   payload  concatenated chunk payloads
 ///
 /// v2 added the per-chunk CRC32C over each payload's bytes: a bit flip
 /// inside a chunk is reported as kChecksumMismatch instead of being left
@@ -33,33 +34,22 @@ namespace aesz::pipeline {
 /// and enforced on EVERY chunk (the max-over-chunks guarantee: if each
 /// chunk satisfies the absolute bound, so does the assembled field).
 /// Chunk geometry is validated against the declared dims before any
-/// allocation, mirroring the overflow checks of the v2 codec header
-/// (sz::read_header).
+/// allocation. The preamble, the sealed-table slicing and the
+/// hostile-input rules shared with AETC and AEPR: format/container.hpp
+/// and docs/ARCHITECTURE.md "Container preamble".
 
-/// "AEPC" in little-endian byte order.
-constexpr std::uint32_t kContainerMagic = 0x43504541u;
-constexpr std::uint8_t kContainerVersion = 2;
-constexpr std::uint8_t kContainerVersionV1 = 1;  // pre-checksum, read-only
+constexpr std::uint32_t kContainerMagic = format::kAepc.magic;
+constexpr std::uint8_t kContainerVersion = format::kAepc.version;
+constexpr std::uint8_t kContainerVersionV1 = format::kAepc.legacy_version;
 
-/// Parsed and validated container: chunk geometry plus zero-copy payload
-/// views into the caller's stream bytes.
-struct ContainerInfo {
-  std::uint32_t inner_magic = 0;
-  Dims dims;
-  ErrorBound eb;
+/// Parsed and validated container: the preamble (inner_magic, dims, eb),
+/// chunk geometry, and zero-copy payload views into the caller's bytes.
+struct ContainerInfo : format::Preamble {
   double abs_eb = 0.0;
   std::size_t chunk_rows = 0;
   std::vector<ChunkSpec> chunks;
   std::vector<std::span<const std::uint8_t>> payloads;  // one per chunk
 };
-
-/// True when `stream` leads with the container magic (cheap sniff used by
-/// the CLI and the registry's identify()).
-bool is_container(std::span<const std::uint8_t> stream);
-
-/// The inner codec magic of a container stream, for codec identification
-/// without a full parse.
-Expected<std::uint32_t> peek_inner_magic(std::span<const std::uint8_t> stream);
 
 /// Serialize the container: header + chunk table + concatenated payloads.
 /// `chunks` and `payloads` must be parallel arrays in axis-0 order.

@@ -16,15 +16,14 @@ std::size_t row_stride(const Dims& d) {
   return s;
 }
 
-Dims chunk_dims(const Dims& d, std::size_t rows) {
-  switch (d.rank) {
-    case 1: return Dims(rows);
-    case 2: return Dims(rows, d[1]);
-    default: return Dims(rows, d[1], d[2]);
-  }
-}
-
 }  // namespace
+
+ChunkSpec make_chunk(const Dims& d, std::size_t row0, std::size_t rows) {
+  const std::size_t stride = row_stride(d);
+  ChunkSpec c{row0, rows, d, row0 * stride, rows * stride};
+  c.dims.d[0] = rows;
+  return c;
+}
 
 std::vector<ChunkSpec> make_chunks(const Dims& d, std::size_t chunk_rows) {
   AESZ_CHECK_ARG(d.rank >= 1 && d.rank <= 3, "field rank must be 1, 2, or 3");
@@ -32,16 +31,11 @@ std::vector<ChunkSpec> make_chunks(const Dims& d, std::size_t chunk_rows) {
     AESZ_CHECK_ARG(d[i] > 0, "field has a zero extent along axis " +
                                  std::to_string(i));
   const std::size_t d0 = d[0];
-  if (chunk_rows == 0 || chunk_rows >= d0)
-    return {ChunkSpec{0, d0, chunk_dims(d, d0), 0, d.total()}};
-  const std::size_t stride = row_stride(d);
+  if (chunk_rows == 0 || chunk_rows >= d0) return {make_chunk(d, 0, d0)};
   std::vector<ChunkSpec> chunks;
   chunks.reserve(num_blocks(d0, chunk_rows));
-  for (std::size_t row0 = 0; row0 < d0; row0 += chunk_rows) {
-    const std::size_t rows = std::min(chunk_rows, d0 - row0);
-    chunks.push_back(ChunkSpec{row0, rows, chunk_dims(d, rows),
-                               row0 * stride, rows * stride});
-  }
+  for (std::size_t row0 = 0; row0 < d0; row0 += chunk_rows)
+    chunks.push_back(make_chunk(d, row0, std::min(chunk_rows, d0 - row0)));
   return chunks;
 }
 

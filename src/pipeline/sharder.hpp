@@ -21,6 +21,9 @@ struct ChunkSpec {
   std::size_t elems = 0;  // element count (rows * row_stride)
 };
 
+/// The slab of `rows` planes of `d` starting at plane `row0`.
+ChunkSpec make_chunk(const Dims& d, std::size_t row0, std::size_t rows);
+
 /// Split `d` (rank 1/2/3) into slabs of `chunk_rows` planes along axis 0;
 /// the last chunk keeps the remainder. `chunk_rows == 0` or >= d[0] yields
 /// a single chunk covering the whole field. Throws

@@ -2,19 +2,17 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstring>
 
 #include "ae_baselines/ae_a.hpp"
 #include "ae_baselines/ae_b.hpp"
 #include "core/aesz.hpp"
-#include "pipeline/container.hpp"
+#include "format/container.hpp"
 #include "pipeline/parallel_compressor.hpp"
-#include "progressive/aepr.hpp"
 #include "progressive/progressive.hpp"
 #include "sz/sz21.hpp"
-#include "temporal/aetc.hpp"
 #include "sz/szauto.hpp"
 #include "sz/szinterp.hpp"
-#include "util/bytestream.hpp"
 #include "zfp/zfp_like.hpp"
 
 // Layering note: this .cpp is the registry's one deliberate upward edge —
@@ -30,6 +28,14 @@ std::string lower(const std::string& s) {
   for (char& c : out)
     c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   return out;
+}
+
+/// The first codec registered under a stream magic (0 = none of its own).
+const CodecInfo* by_magic(const std::deque<CodecInfo>& codecs,
+                          std::uint32_t magic) {
+  for (const auto& c : codecs)
+    if (c.magic != 0 && c.magic == magic) return &c;
+  return nullptr;
 }
 
 /// Default AE-SZ configs at CPU scale (paper Table VI at reduced width):
@@ -215,47 +221,53 @@ Expected<std::string> CodecRegistry::identify(
   // errors — the service layer routes untrusted bytes straight here.
   if (stream.empty())
     return Status::error(ErrCode::kTruncated, "empty stream");
-  ByteReader r(stream);
-  std::uint32_t magic = 0;
-  if (!r.try_get(magic))
-    return Status::error(ErrCode::kTruncated,
-                         "stream too short for magic (" +
-                             std::to_string(stream.size()) + " bytes)");
-  if (magic == pipeline::kContainerMagic) {
-    const auto inner = pipeline::peek_inner_magic(stream);
-    if (!inner.ok()) return inner.status();
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& c : codecs_)
-      if (c.magic != 0 && c.magic == *inner) return "parallel:" + c.name;
+  // All three containers resolve through their preamble (kTruncated
+  // below a magic word, kBadMagic for no container): AEPC names its inner
+  // codec by magic (`parallel:<codec>`), AETC and AEPR by registry NAME
+  // (`temporal:<codec>` / `progressive:<codec>` — they may wrap
+  // magic-less `parallel:` streams).
+  const auto pre = format::peek(stream);
+  if (!pre.ok() && pre.status().code != ErrCode::kBadMagic)
+    return pre.status();
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!pre.ok()) {
+    std::uint32_t magic = 0;
+    std::memcpy(&magic, stream.data(), sizeof(magic));
+    if (const CodecInfo* c = by_magic(codecs_, magic)) return c->name;
+    return Status::error(ErrCode::kBadMagic,
+                         "stream magic matches no registered codec");
+  }
+  const bool aepc = pre->magic == format::kAepc.magic;
+  const CodecInfo* c = aepc ? by_magic(codecs_, pre->inner_magic)
+                            : find_locked(pre->inner);
+  if (c == nullptr)
     return Status::error(ErrCode::kBadMagic,
                          "container wraps no registered codec");
+  const char* wrapper = aepc ? "parallel:"
+                        : pre->magic == format::kAetc.magic ? "temporal:"
+                                                             : "progressive:";
+  return wrapper + c->name;
+}
+
+Expected<std::unique_ptr<Compressor>> make_inner(const CodecFactory& factory,
+                                                 const std::string& name,
+                                                 int rank, bool require_rank) {
+  std::unique_ptr<Compressor> codec;
+  if (factory) {
+    codec = factory(name, rank);
+    if (!codec)
+      return Status::error(ErrCode::kUnsupported,
+                           "codec factory returned null for '" + name + "'");
+  } else {
+    auto built = CodecRegistry::instance().create(name, rank);
+    if (!built.ok()) return built.status();
+    codec = std::move(*built);
   }
-  // The temporal and progressive containers store the inner codec's
-  // registry NAME (they may wrap magic-less `parallel:` streams), so both
-  // resolve through a name lookup rather than a magic scan.
-  if (magic == temporal::kStreamMagic) {
-    const auto inner = temporal::peek_inner(stream);
-    if (!inner.ok()) return inner.status();
-    std::lock_guard<std::mutex> lock(mu_);
-    if (const CodecInfo* c = find_locked(*inner))
-      return "temporal:" + c->name;
-    return Status::error(ErrCode::kBadMagic,
-                         "temporal stream wraps no registered codec");
-  }
-  if (magic == progressive::kStreamMagic) {
-    const auto inner = progressive::peek_inner(stream);
-    if (!inner.ok()) return inner.status();
-    std::lock_guard<std::mutex> lock(mu_);
-    if (const CodecInfo* c = find_locked(*inner))
-      return "progressive:" + c->name;
-    return Status::error(ErrCode::kBadMagic,
-                         "progressive stream wraps no registered codec");
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& c : codecs_)
-    if (c.magic != 0 && c.magic == magic) return c.name;
-  return Status::error(ErrCode::kBadMagic,
-                       "stream magic matches no registered codec");
+  if (require_rank && !codec->supports_rank(rank))
+    return Status::error(ErrCode::kUnsupported,
+                         "codec '" + name + "' does not support rank " +
+                             std::to_string(rank));
+  return codec;
 }
 
 }  // namespace aesz

@@ -92,4 +92,22 @@ class CodecRegistry {
   std::deque<CodecInfo> codecs_;
 };
 
+/// Builds the inner codec a wrapper (temporal stream, progressive ladder)
+/// runs for a given field rank. An empty factory means
+/// CodecRegistry::create(name, rank); callers with out-of-registry
+/// configuration (an AE-SZ instance loaded from a trained model file)
+/// supply their own.
+using CodecFactory =
+    std::function<std::unique_ptr<Compressor>(const std::string& name,
+                                              int rank)>;
+
+/// Build `name` through `factory` (or the registry when it is empty).
+/// Fallible: an unknown name, a null factory result, or — with
+/// `require_rank` — a codec that does not support `rank` is a typed
+/// status, since on the open/read paths the name comes from the stream.
+Expected<std::unique_ptr<Compressor>> make_inner(const CodecFactory& factory,
+                                                 const std::string& name,
+                                                 int rank,
+                                                 bool require_rank = true);
+
 }  // namespace aesz

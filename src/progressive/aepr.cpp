@@ -1,135 +1,24 @@
 #include "progressive/aepr.hpp"
 
 #include <cmath>
-#include <cstring>
-#include <string>
 
 #include "sz/common.hpp"
 #include "util/crc32c.hpp"
 
 namespace aesz::progressive {
 
-namespace {
-
-Status parse_header(ByteReader& r, StreamInfo& out) {
-  std::uint32_t magic = 0;
-  if (!r.try_get(magic))
-    return Status::error(ErrCode::kTruncated, "stream too short for magic");
-  if (magic != kStreamMagic)
-    return Status::error(ErrCode::kBadMagic, "not an AEPR progressive stream");
-  std::uint8_t version = 0;
-  if (!r.try_get(version))
-    return Status::error(ErrCode::kTruncated, "truncated AEPR header");
-  if (version != kFormatVersion && version != kFormatVersionV1)
-    return Status::error(ErrCode::kBadHeader, "unsupported AEPR version");
-  out.version = version;
-  std::span<const std::uint8_t> name;
-  if (!r.try_get_blob(name))
-    return Status::error(ErrCode::kTruncated, "truncated inner codec name");
-  if (name.empty() || name.size() > kMaxInnerName)
-    return Status::error(ErrCode::kBadHeader, "bad inner codec name length");
-  out.inner.assign(reinterpret_cast<const char*>(name.data()), name.size());
-  for (char c : out.inner) {
-    if (c < 0x20 || c > 0x7E)
-      return Status::error(ErrCode::kBadHeader,
-                           "non-printable inner codec name");
-  }
-  if (Status s = sz::read_dims_checked(r, out.dims); !s.ok()) return s;
-  std::uint8_t mode = 0;
-  double value = 0.0;
-  if (!r.try_get(mode) || !r.try_get(value))
-    return Status::error(ErrCode::kTruncated, "truncated error bound");
-  if (mode > static_cast<std::uint8_t>(EbMode::kPSNR))
-    return Status::error(ErrCode::kBadHeader, "bad error-bound mode");
-  out.eb = ErrorBound(static_cast<EbMode>(mode), value);
-  if (!out.eb.usable())
-    return Status::error(ErrCode::kBadHeader, "unusable error bound");
-  if (!r.try_get(out.value_range))
-    return Status::error(ErrCode::kTruncated, "truncated value range");
-  if (!std::isfinite(out.value_range) || out.value_range < 0)
-    return Status::error(ErrCode::kBadHeader, "bad value range");
-  return {};
-}
-
-/// Layer-table validation shared by read_stream and peek paths: count
-/// capped, offsets tiling the payload region contiguously in order,
-/// lengths nonzero, bounds finite/positive and strictly decreasing — all
-/// before any payload byte is touched or allocated.
-Status parse_layer_table(ByteReader& r, StreamInfo& out) {
-  std::uint64_t count = 0;
-  if (!r.try_get_varint(count))
-    return Status::error(ErrCode::kTruncated, "truncated layer count");
-  if (count == 0 || count > kMaxLayers)
-    return Status::error(ErrCode::kBadHeader, "layer count out of range");
-  out.layers.reserve(static_cast<std::size_t>(count));
-  std::size_t prev_end = 0;
-  double prev_bound = 0.0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    LayerInfo layer;
-    std::uint64_t offset = 0, length = 0;
-    if (!r.try_get_varint(offset) || !r.try_get_varint(length) ||
-        !r.try_get(layer.abs_eb))
-      return Status::error(ErrCode::kTruncated, "truncated layer entry");
-    if (out.version >= kFormatVersion && !r.try_get(layer.crc))
-      return Status::error(ErrCode::kTruncated, "truncated layer entry");
-    // Layers must tile the payload region exactly, in order — a table
-    // pointing anywhere else (gaps, overlaps, backwards) is corrupt.
-    if (offset != prev_end || length == 0)
-      return Status::error(ErrCode::kCorruptStream,
-                           "layer table does not tile the payload");
-    if (length > sz::kMaxTotalElems * sizeof(float))
-      return Status::error(ErrCode::kCorruptStream, "layer length overflow");
-    if (!std::isfinite(layer.abs_eb) || layer.abs_eb <= 0)
-      return Status::error(ErrCode::kCorruptStream, "bad layer bound");
-    if (i > 0 && layer.abs_eb >= prev_bound)
-      return Status::error(ErrCode::kCorruptStream,
-                           "layer bounds must strictly decrease");
-    layer.offset = static_cast<std::size_t>(offset);
-    layer.length = static_cast<std::size_t>(length);
-    prev_end = layer.offset + layer.length;
-    prev_bound = layer.abs_eb;
-    out.layers.push_back(layer);
-  }
-  return {};
-}
-
-}  // namespace
-
-bool is_progressive(std::span<const std::uint8_t> stream) {
-  std::uint32_t magic = 0;
-  if (stream.size() < sizeof(magic)) return false;
-  std::memcpy(&magic, stream.data(), sizeof(magic));
-  return magic == kStreamMagic;
-}
-
-Expected<std::string> peek_inner(std::span<const std::uint8_t> stream) {
-  StreamInfo info;
-  ByteReader r(stream);
-  if (Status s = parse_header(r, info); !s.ok()) return s;
-  return info.inner;
-}
-
 std::vector<std::uint8_t> write_stream(const std::string& inner,
                                        const Dims& dims, const ErrorBound& eb,
                                        double value_range,
                                        std::span<const LayerInfo> layers) {
-  AESZ_CHECK_ARG(!inner.empty() && inner.size() <= kMaxInnerName,
-                 "bad inner codec name length");
-  AESZ_CHECK_ARG(dims.rank >= 1 && dims.rank <= 3, "bad rank");
   AESZ_CHECK_ARG(eb.usable(), "unusable error bound");
   AESZ_CHECK_ARG(std::isfinite(value_range) && value_range >= 0,
                  "bad value range");
   AESZ_CHECK_ARG(!layers.empty() && layers.size() <= kMaxLayers,
                  "layer count out of range");
   ByteWriter w;
-  w.put(kStreamMagic);
-  w.put(kFormatVersion);
-  w.put_blob({reinterpret_cast<const std::uint8_t*>(inner.data()),
-              inner.size()});
-  w.put(static_cast<std::uint8_t>(dims.rank));
-  for (int i = 0; i < dims.rank; ++i) w.put_varint(dims[i]);
-  w.put(static_cast<std::uint8_t>(eb.mode()));
-  w.put(eb.value());
+  format::write_preamble(w, format::kAepr,
+                         {.inner = inner, .dims = dims, .eb = eb});
   w.put(value_range);
   w.put_varint(layers.size());
   std::size_t offset = 0;
@@ -156,49 +45,62 @@ std::vector<std::uint8_t> write_stream(const std::string& inner,
 Expected<StreamInfo> read_stream(std::span<const std::uint8_t> stream) {
   StreamInfo info;
   ByteReader r(stream);
-  if (Status s = parse_header(r, info); !s.ok()) return s;
-  if (Status s = parse_layer_table(r, info); !s.ok()) return s;
-  info.header_bytes = r.pos();
-  const std::size_t payload_bytes = r.remaining();
+  if (Status s = format::read_preamble(r, format::kAepr, info); !s.ok())
+    return s;
+  if (Status s = format::check_bound(info.eb, /*usable=*/true); !s.ok())
+    return s;
+  if (!r.try_get(info.value_range))
+    return Status::error(ErrCode::kTruncated, "truncated value range");
+  if (!std::isfinite(info.value_range) || info.value_range < 0)
+    return Status::error(ErrCode::kBadHeader, "bad value range");
 
-  // The payload region must end at an exact layer boundary: a
-  // truncate_to() prefix carries the first k layers and nothing else.
-  std::size_t matched = 0;
-  std::size_t end = 0;
-  for (const LayerInfo& layer : info.layers) {
-    end = layer.offset + layer.length;
-    if (end > payload_bytes) break;
-    ++matched;
-    if (end == payload_bytes) break;
-  }
-  if (matched == 0)
-    return Status::error(ErrCode::kTruncated,
-                         "payload shorter than the coarsest layer");
-  const std::size_t last_end =
-      info.layers[matched - 1].offset + info.layers[matched - 1].length;
-  if (payload_bytes > last_end) {
-    // More bytes than the matched prefix: either mid-layer truncation
-    // (next layer started but did not finish) or trailing garbage past
-    // the last declared layer.
-    if (matched < info.layers.size())
-      return Status::error(ErrCode::kTruncated,
-                           "payload ends mid-layer (not a valid prefix)");
-    return Status::error(ErrCode::kCorruptStream,
-                         "trailing bytes after the last layer");
-  }
-  info.present = matched;
-  for (std::size_t i = 0; i < matched; ++i) {
+  // The layer table: count capped, offsets tiling the payload region
+  // contiguously in order, lengths nonzero, bounds finite/positive and
+  // strictly decreasing — all before any payload byte is touched.
+  std::uint64_t count = 0;
+  if (!r.try_get_varint(count))
+    return Status::error(ErrCode::kTruncated, "truncated layer count");
+  if (count == 0 || count > kMaxLayers)
+    return Status::error(ErrCode::kBadHeader, "layer count out of range");
+  const bool has_crc = info.version >= kFormatVersion;
+  info.layers.resize(static_cast<std::size_t>(count));
+  std::vector<std::size_t> lengths;
+  std::vector<std::uint32_t> crcs;
+  std::size_t prev_end = 0;
+  for (std::size_t i = 0; i < info.layers.size(); ++i) {
     LayerInfo& layer = info.layers[i];
-    layer.payload = stream.subspan(info.header_bytes + layer.offset,
-                                   layer.length);
-    // v2: only the layers this (possibly truncated) stream carries are
-    // verified — absent layers' table checksums simply go unused.
-    if (info.version >= kFormatVersion &&
-        util::crc32c(layer.payload) != layer.crc)
-      return Status::error(ErrCode::kChecksumMismatch,
-                           "layer " + std::to_string(i) +
-                               " checksum mismatch");
+    std::uint64_t offset = 0, length = 0;
+    if (!r.try_get_varint(offset) || !r.try_get_varint(length) ||
+        !r.try_get(layer.abs_eb) || (has_crc && !r.try_get(layer.crc)))
+      return Status::error(ErrCode::kTruncated, "truncated layer entry");
+    // Layers must tile the payload region exactly, in order — a table
+    // pointing anywhere else (gaps, overlaps, backwards) is corrupt.
+    if (offset != prev_end || length == 0)
+      return Status::error(ErrCode::kCorruptStream,
+                           "layer table does not tile the payload");
+    if (length > sz::kMaxTotalElems * sizeof(float))
+      return Status::error(ErrCode::kCorruptStream, "layer length overflow");
+    if (!std::isfinite(layer.abs_eb) || layer.abs_eb <= 0)
+      return Status::error(ErrCode::kCorruptStream, "bad layer bound");
+    if (i > 0 && layer.abs_eb >= info.layers[i - 1].abs_eb)
+      return Status::error(ErrCode::kCorruptStream,
+                           "layer bounds must strictly decrease");
+    layer.offset = static_cast<std::size_t>(offset);
+    layer.length = static_cast<std::size_t>(length);
+    prev_end = layer.offset + layer.length;
+    lengths.push_back(layer.length);
+    if (has_crc) crcs.push_back(layer.crc);
   }
+  info.header_bytes = r.pos();
+
+  // The payload region may end at any layer boundary (a truncate_to()
+  // prefix); only the layers it carries are checksum-verified.
+  auto payloads = format::slice_entries(r.rest(), lengths, crcs,
+                                        /*allow_prefix=*/true, "layer");
+  if (!payloads.ok()) return payloads.status();
+  info.present = payloads->size();
+  for (std::size_t i = 0; i < info.present; ++i)
+    info.layers[i].payload = (*payloads)[i];
   return info;
 }
 

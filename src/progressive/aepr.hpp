@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "format/container.hpp"
 #include "predictors/error_bound.hpp"
 #include "util/bytestream.hpp"
 #include "util/dims.hpp"
@@ -18,8 +19,7 @@ namespace aesz::progressive {
 /// progressively tighter absolute bound. Layout (little-endian, varint =
 /// LEB128, blob = varint length + bytes):
 ///
-///   header   magic u32 "AEPR" | version u8 | inner codec name blob |
-///            rank u8 | dims varint* | eb-mode u8 | eb-value f64 |
+///   header   container preamble (identity = inner codec name blob) |
 ///            value-range f64 | layer count varint |
 ///            per layer: offset varint, length varint, abs-bound f64,
 ///            crc32c u32 (v2+)
@@ -52,19 +52,14 @@ namespace aesz::progressive {
 /// ending mid-layer is kTruncated; bytes past the last declared layer are
 /// kCorruptStream.
 ///
-/// Hostile-input discipline matches the AEPC/AETC containers: every
-/// length is bounds-checked against the remaining bytes before any
-/// allocation, the layer count is capped, malformed offsets/lengths/
-/// bounds map to typed statuses — never an out-of-bounds read or
-/// unbounded allocation.
+/// The preamble, the sealed-table slicing (format::slice_entries) and the
+/// hostile-input rules shared with AEPC and AETC: format/container.hpp and
+/// docs/ARCHITECTURE.md "Container preamble".
 
-/// "AEPR" in little-endian byte order.
-constexpr std::uint32_t kStreamMagic = 0x52504541u;
-constexpr std::uint8_t kFormatVersion = 2;
-constexpr std::uint8_t kFormatVersionV1 = 1;  // pre-checksum, read-only
-
-/// Cap on the inner-codec-name blob (mirrors temporal::kMaxInnerName).
-constexpr std::size_t kMaxInnerName = 256;
+constexpr std::uint32_t kStreamMagic = format::kAepr.magic;
+constexpr std::uint8_t kFormatVersion = format::kAepr.version;
+constexpr std::uint8_t kFormatVersionV1 =
+    format::kAepr.legacy_version;  // pre-checksum, read-only
 
 /// Cap on the declared layer count. A geometric bound ladder reaches
 /// float precision in far fewer steps; more layers is a hostile header.
@@ -82,28 +77,18 @@ struct LayerInfo {
   std::span<const std::uint8_t> payload;
 };
 
-/// Parsed and validated artifact. `layers` always holds every DECLARED
-/// layer; `present` counts how many of them this stream actually carries
-/// (a truncate_to() prefix keeps the full table but fewer payloads).
-struct StreamInfo {
-  std::string inner;  // registry codec name of every layer payload
-  /// Format version the header declared (v1 layers carry no checksums).
-  std::uint8_t version = kFormatVersion;
-  Dims dims;
-  ErrorBound eb;            // the bound the final layer restores
+/// Parsed and validated artifact: the preamble (`inner` names the codec of
+/// every layer payload, `eb` is the bound the final layer restores, v1
+/// layers carry no checksums), the value range, and the layer table.
+/// `layers` always holds every DECLARED layer; `present` counts how many
+/// of them this stream actually carries (a truncate_to() prefix keeps the
+/// full table but fewer payloads).
+struct StreamInfo : format::Preamble {
   double value_range = 0.0; // original field's range (resolves rel/psnr)
   std::vector<LayerInfo> layers;
   std::size_t present = 0;      // complete layers in this stream
   std::size_t header_bytes = 0; // payload region starts here
 };
-
-/// True when `stream` leads with the AEPR magic (cheap sniff for the CLI
-/// and the service decompress path).
-bool is_progressive(std::span<const std::uint8_t> stream);
-
-/// The inner codec name from the header alone — what identify() needs
-/// without paying for (or trusting) the layer table.
-Expected<std::string> peek_inner(std::span<const std::uint8_t> stream);
 
 /// Serialize a complete artifact. Layer payload spans must be non-empty;
 /// bounds must be strictly decreasing. Throws

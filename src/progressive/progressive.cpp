@@ -4,39 +4,18 @@
 #include <utility>
 
 #include "predictors/registry.hpp"
+#include "predictors/residual.hpp"
 #include "util/error.hpp"
 
 namespace aesz::progressive {
 
 namespace {
 
-/// Build the inner codec through the caller's factory or the registry
-/// (the temporal subsystem's make_inner contract). `require_rank` makes
-/// an unsupported rank a hard error; the ProgressiveCompressor ctor
-/// passes false because registry create() must succeed for every
-/// (name, rank) — callers gate on supports_rank() afterwards.
-Expected<std::unique_ptr<Compressor>> make_inner(const CodecFactory& factory,
-                                                 const std::string& name,
-                                                 int rank,
-                                                 bool require_rank = true) {
-  std::unique_ptr<Compressor> codec;
-  if (factory) {
-    codec = factory(name, rank);
-    if (!codec)
-      return Status::error(ErrCode::kUnsupported,
-                           "codec factory returned null for '" + name + "'");
-  } else {
-    auto built = CodecRegistry::instance().create(name, rank);
-    if (!built.ok()) return built.status();
-    codec = std::move(*built);
-  }
-  if (require_rank && !codec->supports_rank(rank))
-    return Status::error(ErrCode::kUnsupported,
-                         "codec '" + name + "' does not support rank " +
-                             std::to_string(rank));
-  return codec;
-}
-
+/// The throwing make_inner (predictors/registry.hpp) for the writer and
+/// the registry wrapper, where a bad inner codec is a caller error.
+/// `require_rank` is false for the ProgressiveCompressor ctor: registry
+/// create() must succeed for every (name, rank), with callers gating on
+/// supports_rank() afterwards.
 std::unique_ptr<Compressor> make_inner_or_throw(const CodecFactory& factory,
                                                 const std::string& name,
                                                 int rank,
@@ -46,10 +25,17 @@ std::unique_ptr<Compressor> make_inner_or_throw(const CodecFactory& factory,
   return std::move(*codec);
 }
 
+/// What truncate_to_* answer for the prefix carrying layers 0..k.
+TruncateResult prefix_result(const StreamInfo& info, std::size_t k) {
+  return {prefix_bytes(info, k), k + 1, info.layers.size(),
+          info.layers[k].abs_eb};
+}
+
 }  // namespace
 
 ProgressiveWriter::ProgressiveWriter(Options opt) : opt_(std::move(opt)) {
-  AESZ_CHECK_ARG(!opt_.inner.empty() && opt_.inner.size() <= kMaxInnerName,
+  AESZ_CHECK_ARG(!opt_.inner.empty() &&
+                     opt_.inner.size() <= format::kMaxInnerName,
                  "bad inner codec name length");
   AESZ_CHECK_ARG(opt_.layers >= 1 && opt_.layers <= kMaxLayers,
                  "layer count out of range");
@@ -81,30 +67,15 @@ std::vector<std::uint8_t> ProgressiveWriter::encode(const Field& f,
     const double rung =
         abs_eb * std::pow(opt_.factor,
                           static_cast<double>(opt_.layers - 1 - i));
-    if (i == 0) {
-      payloads[i] = codec->compress(f, ErrorBound::Abs(rung));
-    } else {
-      Field residual(f.dims());
-      auto tv = residual.values();
-      auto fv = f.values();
-      auto rv = recon.values();
-      for (std::size_t j = 0; j < tv.size(); ++j) tv[j] = fv[j] - rv[j];
-      payloads[i] = codec->compress(residual, ErrorBound::Abs(rung));
-    }
+    const ErrorBound rung_eb = ErrorBound::Abs(rung);
+    payloads[i] = i == 0 ? codec->compress(f, rung_eb)
+                         : codec->compress(residual(f, recon), rung_eb);
     // Advance the reference with the decoded layer, never the original —
     // the encoder's chain must be bit-identical to any reader's.
-    auto dec = codec->decompress(payloads[i]);
-    if (!dec.ok() || dec->dims() != f.dims())
+    if (Status s = fold_decoded(*codec, payloads[i], i > 0, f.dims(), recon);
+        !s.ok())
       throw Error(ErrCode::kInternal,
-                  "self-decode of freshly encoded layer failed: " +
-                      (dec.ok() ? "dims mismatch" : dec.status().str()));
-    if (i == 0) {
-      recon = std::move(*dec);
-    } else {
-      auto rv = recon.values();
-      auto dv = dec->values();
-      for (std::size_t j = 0; j < rv.size(); ++j) rv[j] += dv[j];
-    }
+                  "self-decode of freshly encoded layer failed: " + s.str());
     table[i].abs_eb = rung;
     table[i].payload = payloads[i];
   }
@@ -136,19 +107,11 @@ Expected<Field> ProgressiveReader::read(std::size_t k) {
     start = 0;
   }
   next_ = 0;  // invalid until the loop completes
-  for (std::size_t i = start; i <= k; ++i) {
-    auto dec = codec_->decompress(info_.layers[i].payload);
-    if (!dec.ok()) return dec.status();
-    if (dec->dims() != info_.dims)
-      return Status::error(ErrCode::kCorruptStream, "layer dims mismatch");
-    if (i == 0) {
-      recon_ = std::move(*dec);
-    } else {
-      auto rv = recon_.values();
-      auto dv = dec->values();
-      for (std::size_t j = 0; j < rv.size(); ++j) rv[j] += dv[j];
-    }
-  }
+  for (std::size_t i = start; i <= k; ++i)
+    if (Status s = fold_decoded(*codec_, info_.layers[i].payload, i > 0,
+                                info_.dims, recon_);
+        !s.ok())
+      return s;
   next_ = k + 1;
   return recon_;
 }
@@ -157,9 +120,7 @@ Expected<TruncateResult> truncate_to_bytes(
     std::span<const std::uint8_t> stream, std::size_t budget) {
   auto parsed = read_stream(stream);
   if (!parsed.ok()) return parsed.status();
-  const std::size_t k = layers_for_budget(*parsed, budget);
-  return TruncateResult{prefix_bytes(*parsed, k), k + 1,
-                        parsed->layers.size(), parsed->layers[k].abs_eb};
+  return prefix_result(*parsed, layers_for_budget(*parsed, budget));
 }
 
 Expected<TruncateResult> truncate_to_bound(
@@ -168,8 +129,7 @@ Expected<TruncateResult> truncate_to_bound(
   if (!parsed.ok()) return parsed.status();
   auto k = layers_for_bound(*parsed, target);
   if (!k.ok()) return k.status();
-  return TruncateResult{prefix_bytes(*parsed, *k), *k + 1,
-                        parsed->layers.size(), parsed->layers[*k].abs_eb};
+  return prefix_result(*parsed, *k);
 }
 
 ProgressiveCompressor::ProgressiveCompressor(ProgressiveWriter::Options opt,

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -10,18 +9,11 @@
 #include "data/field.hpp"
 #include "predictors/compressor.hpp"
 #include "predictors/error_bound.hpp"
+#include "predictors/registry.hpp"
 #include "progressive/aepr.hpp"
 #include "util/expected.hpp"
 
 namespace aesz::progressive {
-
-/// Builds the inner codec for a given field rank. Defaults to
-/// CodecRegistry::create(name, rank); callers with out-of-registry
-/// configuration (an AE-SZ instance loaded from a trained model file)
-/// supply their own — same contract as temporal::CodecFactory.
-using CodecFactory =
-    std::function<std::unique_ptr<Compressor>(const std::string& name,
-                                              int rank)>;
 
 /// Default bound ladder: 3 layers whose absolute tolerances shrink by 4x
 /// per refinement (layer 0 at 16x the final bound). Chosen so the coarse

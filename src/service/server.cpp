@@ -14,10 +14,11 @@
 #include "core/aesz.hpp"
 #include "core/model_zoo.hpp"
 #include "obs/log.hpp"
-#include "pipeline/container.hpp"
+#include "format/container.hpp"
 #include "pipeline/parallel_compressor.hpp"
 #include "predictors/registry.hpp"
 #include "progressive/progressive.hpp"
+#include "sz/common.hpp"
 #include "util/bytestream.hpp"
 
 namespace aesz::service {
@@ -43,29 +44,18 @@ bool is_aesz_name(const std::string& lowered) {
   return lowered == "ae-sz" || lowered == "aesz";
 }
 
-/// Rank declared by a compressed stream's own header (shared v2 codec
-/// header, or the container header for parallel streams) — so a cached
-/// decompress codec is built at the rank the stream needs, not a guess.
-/// Falls back to `fallback` when the prefix is too short or out of range.
-int peek_rank(std::span<const std::uint8_t> stream, int fallback) {
+/// Rank declared by a compressed stream's own header — so a cached
+/// decompress codec is built at the rank the stream needs, not a guess:
+/// the container preamble for AEPC/AETC/AEPR streams, the shared codec
+/// header otherwise, 2 when neither parses (the decode then reports why).
+int stream_rank(std::span<const std::uint8_t> stream) {
+  if (const auto pre = format::peek(stream); pre.ok()) return pre->dims.rank;
   ByteReader r(stream);
   std::uint32_t magic = 0;
-  std::uint8_t version = 0, rank = 0;
-  if (!r.try_get(magic) || !r.try_get(version)) return fallback;
-  if (magic == pipeline::kContainerMagic) {
-    std::uint32_t inner = 0;
-    if (!r.try_get(inner)) return fallback;
-  } else if (magic == progressive::kStreamMagic) {
-    // AEPR carries its inner codec NAME before the shared rank byte.
-    std::uint64_t name_len = 0;
-    std::span<const std::uint8_t> name;
-    if (!r.try_get_varint(name_len) ||
-        name_len > progressive::kMaxInnerName ||
-        !r.try_get_bytes(static_cast<std::size_t>(name_len), name))
-      return fallback;
-  }
-  if (!r.try_get(rank)) return fallback;
-  return (rank >= 1 && rank <= 3) ? rank : fallback;
+  if (!r.try_get(magic)) return 2;
+  ByteReader hr(stream);
+  const auto header = sz::read_header(hr, magic);
+  return header.ok() ? header->dims.rank : 2;
 }
 
 /// Shared pool of warm inner-codec instances. ParallelCompressor's workers
@@ -414,7 +404,7 @@ std::vector<std::uint8_t> Server::handle_decompress(
                          identified.status().message);
     codec_name = *identified;
   }
-  auto entry = codec_for(codec_name, peek_rank(req->stream, /*fallback=*/2));
+  auto entry = codec_for(codec_name, stream_rank(req->stream));
   if (!entry.ok())
     return error_frame(entry.status().code, entry.status().message);
   Expected<Field> result = [&] {

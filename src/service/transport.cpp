@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -34,6 +35,9 @@ Status send_all(int fd, const std::uint8_t* data, std::size_t n) {
 }
 
 enum class RecvResult { kOk, kClosed, kTimeout };
+
+/// First receive-buffer size of a frame body; it doubles from there.
+constexpr std::size_t kRecvChunk = std::size_t{64} << 10;
 
 /// Read exactly n bytes. `timeout_ms >= 0` bounds each wait for the socket
 /// to become readable (poll before recv), so a wedged peer yields kTimeout
@@ -137,15 +141,21 @@ Expected<std::vector<std::uint8_t>> TcpTransport::recv_frame() {
   if (len > kMaxFrameBytes)
     return Status::error(ErrCode::kCorruptStream,
                          "declared frame length exceeds limit");
-  std::vector<std::uint8_t> frame(len);
-  if (len > 0) {
-    switch (recv_all(fd_, frame.data(), len, timeout_ms)) {
+  // Grow the buffer geometrically as body bytes arrive, so a peer's
+  // memory cost is bounded by what it actually sent, not by what its
+  // 4-byte prefix declared.
+  std::vector<std::uint8_t> frame;
+  for (std::size_t got = 0; got < len;) {
+    frame.resize(std::min<std::size_t>(len, std::max(kRecvChunk, 2 * got)));
+    switch (recv_all(fd_, frame.data() + got, frame.size() - got,
+                     timeout_ms)) {
       case RecvResult::kOk: break;
       case RecvResult::kTimeout: return timeout;
       case RecvResult::kClosed:
         return Status::error(ErrCode::kCorruptStream,
                              "connection closed mid-frame");
     }
+    got = frame.size();
   }
   if (has_crc) {
     std::uint8_t trailer[kFrameCrcBytes];

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "sz/common.hpp"
 #include "util/crc32c.hpp"
 
 namespace aesz::temporal {
@@ -17,39 +16,13 @@ constexpr std::size_t kMinRecordBytes = 1 + 1 + sizeof(double) + 1;
 /// Trailer after the footer index: footer-length u32 + index magic u32.
 constexpr std::size_t kFooterTailBytes = 2 * sizeof(std::uint32_t);
 
-Status parse_header(ByteReader& r, StreamInfo& out) {
-  std::uint32_t magic = 0;
-  if (!r.try_get(magic))
-    return Status::error(ErrCode::kTruncated, "stream too short for magic");
-  if (magic != kStreamMagic)
-    return Status::error(ErrCode::kBadMagic, "not an AETC temporal stream");
-  std::uint8_t version = 0;
-  if (!r.try_get(version))
-    return Status::error(ErrCode::kTruncated, "truncated AETC header");
-  if (version != kFormatVersion && version != kFormatVersionV1)
-    return Status::error(ErrCode::kBadHeader, "unsupported AETC version");
-  out.version = version;
-  std::span<const std::uint8_t> name;
-  if (!r.try_get_blob(name))
-    return Status::error(ErrCode::kTruncated, "truncated inner codec name");
-  if (name.empty() || name.size() > kMaxInnerName)
-    return Status::error(ErrCode::kBadHeader, "bad inner codec name length");
-  out.inner.assign(reinterpret_cast<const char*>(name.data()), name.size());
-  for (char c : out.inner) {
-    if (c < 0x20 || c > 0x7E)
-      return Status::error(ErrCode::kBadHeader,
-                           "non-printable inner codec name");
-  }
-  if (Status s = sz::read_dims_checked(r, out.dims); !s.ok()) return s;
-  std::uint8_t mode = 0;
-  double value = 0.0;
-  if (!r.try_get(mode) || !r.try_get(value))
-    return Status::error(ErrCode::kTruncated, "truncated error bound");
-  if (mode > static_cast<std::uint8_t>(EbMode::kPSNR))
-    return Status::error(ErrCode::kBadHeader, "bad error-bound mode");
-  out.eb = ErrorBound(static_cast<EbMode>(mode), value);
-  if (!out.eb.usable())
-    return Status::error(ErrCode::kBadHeader, "unusable error bound");
+/// The AETC header: the shared preamble, its bound held to usable(),
+/// then the gop.
+Status read_header(ByteReader& r, StreamInfo& out) {
+  if (Status s = format::read_preamble(r, format::kAetc, out); !s.ok())
+    return s;
+  if (Status s = format::check_bound(out.eb, /*usable=*/true); !s.ok())
+    return s;
   std::uint64_t gop = 0;
   if (!r.try_get_varint(gop))
     return Status::error(ErrCode::kTruncated, "truncated gop");
@@ -71,9 +44,8 @@ std::uint32_t record_crc(std::uint8_t mode, double abs_eb,
   return util::crc32c(payload, c);
 }
 
-/// Parse one self-delimiting record at the reader's position. Fallible —
-/// recover_stream() treats a kTruncated failure as the end of the record
-/// walk (torn tail) and anything else as corruption.
+}  // namespace
+
 Status parse_record(ByteReader& r, RecordInfo& rec, std::uint8_t version) {
   std::uint8_t marker = 0;
   if (!r.try_get(marker))
@@ -103,40 +75,15 @@ Status parse_record(ByteReader& r, RecordInfo& rec, std::uint8_t version) {
   return {};
 }
 
-}  // namespace
-
-bool is_temporal(std::span<const std::uint8_t> stream) {
-  std::uint32_t magic = 0;
-  if (stream.size() < sizeof(magic)) return false;
-  std::memcpy(&magic, stream.data(), sizeof(magic));
-  return magic == kStreamMagic;
-}
-
-Expected<std::string> peek_inner(std::span<const std::uint8_t> stream) {
-  StreamInfo info;
-  ByteReader r(stream);
-  if (Status s = parse_header(r, info); !s.ok()) return s;
-  return info.inner;
-}
-
 std::vector<std::uint8_t> write_stream_header(const std::string& inner,
                                               const Dims& dims,
                                               const ErrorBound& eb,
                                               std::size_t gop) {
-  AESZ_CHECK_ARG(!inner.empty() && inner.size() <= kMaxInnerName,
-                 "bad inner codec name length");
-  AESZ_CHECK_ARG(dims.rank >= 1 && dims.rank <= 3, "bad rank");
   AESZ_CHECK_ARG(eb.usable(), "unusable error bound");
   AESZ_CHECK_ARG(gop <= kMaxGop, "gop exceeds cap");
   ByteWriter w;
-  w.put(kStreamMagic);
-  w.put(kFormatVersion);
-  w.put_blob({reinterpret_cast<const std::uint8_t*>(inner.data()),
-              inner.size()});
-  w.put(static_cast<std::uint8_t>(dims.rank));
-  for (int i = 0; i < dims.rank; ++i) w.put_varint(dims[i]);
-  w.put(static_cast<std::uint8_t>(eb.mode()));
-  w.put(eb.value());
+  format::write_preamble(w, format::kAetc,
+                         {.inner = inner, .dims = dims, .eb = eb});
   w.put_varint(gop);
   return w.take();
 }
@@ -179,7 +126,7 @@ std::vector<std::uint8_t> write_footer(std::span<const RecordInfo> records) {
 Expected<StreamInfo> read_stream(std::span<const std::uint8_t> stream) {
   StreamInfo info;
   ByteReader r(stream);
-  if (Status s = parse_header(r, info); !s.ok()) return s;
+  if (Status s = read_header(r, info); !s.ok()) return s;
   const std::size_t header_end = r.pos();
   if (stream.size() < header_end + kFooterTailBytes)
     return Status::error(ErrCode::kTruncated, "missing AETC footer");
@@ -251,7 +198,7 @@ Expected<StreamInfo> read_stream(std::span<const std::uint8_t> stream) {
 Expected<StreamInfo> recover_stream(std::span<const std::uint8_t> stream) {
   StreamInfo info;
   ByteReader r(stream);
-  if (Status s = parse_header(r, info); !s.ok()) return s;
+  if (Status s = read_header(r, info); !s.ok()) return s;
   std::size_t end = r.pos();
   while (end < stream.size() && stream[end] == kRecordMarker) {
     ByteReader rr(stream.subspan(end));

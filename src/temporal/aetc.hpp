@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "format/container.hpp"
 #include "predictors/error_bound.hpp"
 #include "util/bytestream.hpp"
 #include "util/dims.hpp"
@@ -18,8 +19,7 @@ namespace aesz::temporal {
 /// REWRITTEN on every append (the only mutable region of the file). Layout
 /// (little-endian, varint = LEB128, blob = varint length + bytes):
 ///
-///   header   magic u32 "AETC" | version u8 | inner codec name blob |
-///            rank u8 | dims varint* | eb-mode u8 | eb-value f64 |
+///   header   container preamble (identity = inner codec name blob) |
 ///            gop varint
 ///   record*  marker u8 (0xA7) | mode u8 (0 intra, 1 residual) |
 ///            abs-bound f64 | payload blob | crc32c u32 (v2+)
@@ -57,26 +57,19 @@ namespace aesz::temporal {
 /// (magic + length), validates every index entry against the actual
 /// record bytes, and rejects any inconsistency with a typed status.
 ///
-/// Hostile-input discipline matches the AEPC container (pipeline/
-/// container.hpp): every length is bounds-checked against the remaining
-/// bytes before any allocation, offsets must be strictly increasing and
-/// in-bounds, and malformed prefixes map to typed statuses — never an
-/// out-of-bounds read or unbounded allocation.
+/// The preamble and the hostile-input rules shared with AEPC and AEPR:
+/// format/container.hpp and docs/ARCHITECTURE.md "Container preamble".
 
-/// "AETC" / "AETI" in little-endian byte order.
-constexpr std::uint32_t kStreamMagic = 0x43544541u;
-constexpr std::uint32_t kIndexMagic = 0x49544541u;
-constexpr std::uint8_t kFormatVersion = 2;
-constexpr std::uint8_t kFormatVersionV1 = 1;  // pre-checksum records
+constexpr std::uint32_t kStreamMagic = format::kAetc.magic;
+constexpr std::uint32_t kIndexMagic = 0x49544541u;  // "AETI"
+constexpr std::uint8_t kFormatVersion = format::kAetc.version;
+constexpr std::uint8_t kFormatVersionV1 =
+    format::kAetc.legacy_version;  // pre-checksum records
 constexpr std::uint8_t kRecordMarker = 0xA7;
 
 /// Timestep coding modes.
 constexpr std::uint8_t kModeIntra = 0;
 constexpr std::uint8_t kModeResidual = 1;
-
-/// Cap on the inner-codec-name blob — longer is a hostile header, not a
-/// registry lookup (mirrors service::kMaxCodecName).
-constexpr std::size_t kMaxInnerName = 256;
 
 /// Cap on the keyframe cadence a header may declare; anything larger is a
 /// hostile header, not a tuning choice.
@@ -95,15 +88,12 @@ struct RecordInfo {
   std::size_t length = 0;
 };
 
-/// Parsed and validated artifact: header fields plus one RecordInfo per
-/// complete timestep. Payload spans alias the caller's bytes.
-struct StreamInfo {
-  std::string inner;  // registry codec name of every payload
-  /// Format version the header declared — an appender must keep writing
-  /// records in this version so one artifact never mixes formats.
-  std::uint8_t version = kFormatVersion;
-  Dims dims;
-  ErrorBound eb;
+/// Parsed and validated artifact: the preamble (`inner` names the codec of
+/// every payload; `version` is the record format an appender must keep
+/// writing, so one artifact never mixes formats), the gop, and one
+/// RecordInfo per complete timestep. Payload spans alias the caller's
+/// bytes.
+struct StreamInfo : format::Preamble {
   std::size_t gop = 0;
   std::vector<RecordInfo> records;
   /// Byte length of header + complete records (excludes the footer and
@@ -111,18 +101,18 @@ struct StreamInfo {
   std::size_t body_bytes = 0;
 };
 
-/// True when `stream` leads with the AETC magic (cheap sniff for the CLI).
-bool is_temporal(std::span<const std::uint8_t> stream);
-
-/// The inner codec name from a validated header alone — what
-/// CodecRegistry::identify() needs without parsing records or footer.
-Expected<std::string> peek_inner(std::span<const std::uint8_t> stream);
-
 /// Serialize the fixed header.
 std::vector<std::uint8_t> write_stream_header(const std::string& inner,
                                               const Dims& dims,
                                               const ErrorBound& eb,
                                               std::size_t gop);
+
+/// Parse one self-delimiting record at the reader's position, in the
+/// record format of `version`. Fallible — recover_stream() treats a
+/// kTruncated failure as the end of the record walk (torn tail) and
+/// anything else as corruption; a v2 record whose bytes do not match its
+/// checksum is kChecksumMismatch.
+Status parse_record(ByteReader& r, RecordInfo& rec, std::uint8_t version);
 
 /// Append one record to `body` (a header + records prefix, NO footer).
 /// `version` selects the record format and must match the stream header's

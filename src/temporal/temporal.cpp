@@ -5,48 +5,13 @@
 #include <utility>
 
 #include "predictors/registry.hpp"
+#include "predictors/residual.hpp"
 #include "util/bytestream.hpp"
 #include "util/error.hpp"
 
 namespace aesz::temporal {
 
 namespace {
-
-/// Build the inner codec through the caller's factory or the registry.
-/// Fallible flavor (the open/read paths, where an unknown codec name is
-/// hostile input, not a programming error).
-Expected<std::unique_ptr<Compressor>> make_inner(const CodecFactory& factory,
-                                                 const std::string& name,
-                                                 int rank) {
-  std::unique_ptr<Compressor> codec;
-  if (factory) {
-    codec = factory(name, rank);
-    if (!codec)
-      return Status::error(ErrCode::kUnsupported,
-                           "codec factory returned null for '" + name + "'");
-  } else {
-    auto built = CodecRegistry::instance().create(name, rank);
-    if (!built.ok()) return built.status();
-    codec = std::move(*built);
-  }
-  if (!codec->supports_rank(rank))
-    return Status::error(ErrCode::kUnsupported,
-                         "codec '" + name + "' does not support rank " +
-                             std::to_string(rank));
-  return codec;
-}
-
-/// Re-derive a record's payload span from the record bytes (the writer
-/// keeps offsets only — payload spans into a growing body buffer would
-/// dangle across reallocations).
-std::span<const std::uint8_t> record_payload(
-    std::span<const std::uint8_t> stream, const RecordInfo& rec) {
-  ByteReader r(stream.subspan(rec.offset, rec.length));
-  r.get<std::uint8_t>();  // marker
-  r.get<std::uint8_t>();  // mode
-  r.get<double>();        // abs bound
-  return r.get_blob();
-}
 
 /// Index of the nearest keyframe at or before t, or an error when the
 /// record sequence has none (corrupt: a stream must open with intra).
@@ -62,30 +27,12 @@ Expected<std::size_t> keyframe_before(const std::vector<RecordInfo>& recs,
   return k;
 }
 
-/// Decode timestep t from scratch: seek to the nearest keyframe, then
-/// chain residuals forward. Shared by the writer's read path and its
-/// reopen (which needs the final frame to restore the encoder chain).
-Expected<Field> decode_at(Compressor& codec, const Dims& dims,
-                          std::span<const std::uint8_t> stream,
-                          const std::vector<RecordInfo>& recs,
-                          std::size_t t) {
-  auto k = keyframe_before(recs, t);
-  if (!k.ok()) return k.status();
-  Field ref;
-  for (std::size_t i = *k; i <= t; ++i) {
-    auto dec = codec.decompress(record_payload(stream, recs[i]));
-    if (!dec.ok()) return dec.status();
-    if (dec->dims() != dims)
-      return Status::error(ErrCode::kCorruptStream, "record dims mismatch");
-    if (recs[i].mode == kModeIntra) {
-      ref = std::move(*dec);
-    } else {
-      auto out = ref.values();
-      auto res = dec->values();
-      for (std::size_t j = 0; j < out.size(); ++j) out[j] += res[j];
-    }
-  }
-  return ref;
+/// kInvalidArgument unless timestep t is one of the n stored.
+Status in_range(std::size_t t, std::size_t n) {
+  if (t < n) return {};
+  return Status::error(ErrCode::kInvalidArgument,
+                       "timestep " + std::to_string(t) + " out of range (" +
+                           std::to_string(n) + " stored)");
 }
 
 }  // namespace
@@ -135,126 +82,78 @@ TemporalCompressor::StepResult TemporalCompressor::compress_step(
                      dims_.str());
   StepResult out;
   out.abs_eb = eb_.absolute(f.value_range());
-  const bool keyframe =
-      !has_ref_ || step_ == 0 || (gop_ > 0 && step_ % gop_ == 0);
+  const bool keyframe = step_ == 0 || (gop_ > 0 && step_ % gop_ == 0);
   const bool try_residual = !keyframe && mode_ != Mode::kIntra;
 
-  std::vector<std::uint8_t> residual_stream;
   if (try_residual) {
-    Field residual(dims_);
-    auto rv = residual.values();
-    auto fv = f.values();
-    auto ref = ref_.values();
-    for (std::size_t i = 0; i < rv.size(); ++i) rv[i] = fv[i] - ref[i];
     // Abs, not the stream bound: rel/psnr must stay relative to the
     // ORIGINAL frame's range, which out.abs_eb already resolved.
-    residual_stream = codec_->compress(residual, ErrorBound::Abs(out.abs_eb));
+    out.mode = kModeResidual;
+    out.payload =
+        codec_->compress(residual(f, ref_), ErrorBound::Abs(out.abs_eb));
   }
   if (keyframe || mode_ != Mode::kResidual) {
-    std::vector<std::uint8_t> intra_stream = codec_->compress(f, eb_);
+    std::vector<std::uint8_t> intra = codec_->compress(f, eb_);
     // Auto mode keeps the smaller trial; ties go intra (better error
     // containment at equal cost).
-    if (try_residual && residual_stream.size() < intra_stream.size()) {
-      out.mode = kModeResidual;
-      out.payload = std::move(residual_stream);
-    } else {
+    if (!try_residual || intra.size() <= out.payload.size()) {
       out.mode = kModeIntra;
-      out.payload = std::move(intra_stream);
+      out.payload = std::move(intra);
     }
-  } else {
-    out.mode = kModeResidual;
-    out.payload = std::move(residual_stream);
   }
 
   // Advance the reference chain with the DECODED frame, so the encoder
   // state is bit-identical to what any decoder reconstructs.
-  auto advanced = decode_step(out.mode, out.payload);
-  if (!advanced.ok())
+  if (Status s = fold_decoded(*codec_, out.payload,
+                              out.mode == kModeResidual, dims_, ref_);
+      !s.ok())
     throw Error(ErrCode::kInternal,
-                "self-decode of freshly encoded timestep failed: " +
-                    advanced.status().str());
-  return out;
-}
-
-Expected<Field> TemporalCompressor::decode_step(
-    std::uint8_t mode, std::span<const std::uint8_t> payload) {
-  if (mode != kModeIntra && mode != kModeResidual)
-    return Status::error(ErrCode::kCorruptStream, "bad record mode");
-  auto dec = codec_->decompress(payload);
-  if (!dec.ok()) return dec.status();
-  if (dec->dims() != dims_)
-    return Status::error(ErrCode::kCorruptStream, "record dims mismatch");
-  if (mode == kModeIntra) {
-    ref_ = std::move(*dec);
-  } else {
-    if (!has_ref_)
-      return Status::error(ErrCode::kCorruptStream,
-                           "residual record without a reference frame");
-    auto out = ref_.values();
-    auto res = dec->values();
-    for (std::size_t i = 0; i < out.size(); ++i) out[i] += res[i];
-  }
-  has_ref_ = true;
+                "self-decode of freshly encoded timestep failed: " + s.str());
   ++step_;
-  return ref_;
-}
-
-void TemporalCompressor::reset() {
-  ref_ = Field();
-  has_ref_ = false;
-  step_ = 0;
+  return out;
 }
 
 void TemporalCompressor::restore(Field ref, std::size_t step) {
   AESZ_CHECK_ARG(ref.dims() == dims_, "restore dims mismatch");
   AESZ_CHECK_ARG(step > 0, "restore needs a decoded timestep");
   ref_ = std::move(ref);
-  has_ref_ = true;
   step_ = step;
 }
 
 TemporalWriter::TemporalWriter(Dims dims, ErrorBound eb, Options opt) {
-  inner_ = opt.inner;
-  dims_ = dims;
-  eb_ = eb;
-  gop_ = opt.gop;
-  auto codec = make_inner(opt.factory, inner_, dims.rank);
+  info_.version = kFormatVersion;
+  info_.inner = opt.inner;
+  info_.dims = dims;
+  info_.eb = eb;
+  info_.gop = opt.gop;
+  auto codec = make_inner(opt.factory, opt.inner, dims.rank);
   if (!codec.ok()) throw Error(codec.status().code, codec.status().str());
-  enc_ = std::make_unique<TemporalCompressor>(std::move(*codec), dims_, eb_,
-                                              gop_, opt.mode);
-  body_ = write_stream_header(inner_, dims_, eb_, gop_);
+  enc_ = std::make_unique<TemporalCompressor>(std::move(*codec), dims, eb,
+                                              opt.gop, opt.mode);
+  body_ = write_stream_header(opt.inner, dims, eb, opt.gop);
 }
 
 Expected<std::unique_ptr<TemporalWriter>> TemporalWriter::open(
     std::span<const std::uint8_t> stream, Options opt, bool recover) {
   auto parsed = recover ? recover_stream(stream) : read_stream(stream);
   if (!parsed.ok()) return parsed.status();
-  StreamInfo info = std::move(*parsed);
-
-  auto codec = make_inner(opt.factory, info.inner, info.dims.rank);
+  auto codec = make_inner(opt.factory, parsed->inner, parsed->dims.rank);
   if (!codec.ok()) return codec.status();
 
   std::unique_ptr<TemporalWriter> w(new TemporalWriter());
-  w->inner_ = info.inner;
-  w->dims_ = info.dims;
-  w->eb_ = info.eb;
-  w->gop_ = info.gop;
-  w->version_ = info.version;
-  w->enc_ = std::make_unique<TemporalCompressor>(std::move(*codec), w->dims_,
-                                                 w->eb_, w->gop_, opt.mode);
+  StreamInfo& info = w->info_ = std::move(*parsed);
+  w->enc_ = std::make_unique<TemporalCompressor>(
+      std::move(*codec), info.dims, info.eb, info.gop, opt.mode);
   w->body_.assign(stream.begin(),
                   stream.begin() + static_cast<std::ptrdiff_t>(info.body_bytes));
-  w->records_ = std::move(info.records);
   // The parsed payload spans alias the caller's buffer, which this writer
   // outlives — drop them; the offsets into body_ are the durable truth.
-  for (RecordInfo& rec : w->records_) rec.payload = {};
+  for (RecordInfo& rec : info.records) rec.payload = {};
 
-  if (!w->records_.empty()) {
-    const std::size_t last = w->records_.size() - 1;
-    auto ref = decode_at(w->enc_->codec(), w->dims_, w->body_, w->records_,
-                         last);
+  if (const std::size_t n = info.records.size(); n > 0) {
+    auto ref = w->decode_at(n - 1);
     if (!ref.ok()) return ref.status();
-    w->enc_->restore(std::move(*ref), w->records_.size());
+    w->enc_->restore(std::move(*ref), n);
   }
   return w;
 }
@@ -265,23 +164,38 @@ TemporalWriter::AppendResult TemporalWriter::append(const Field& f) {
   rec.mode = step.mode;
   rec.abs_eb = step.abs_eb;
   rec.offset = body_.size();
-  append_record(body_, step.mode, step.abs_eb, step.payload, version_);
+  append_record(body_, step.mode, step.abs_eb, step.payload, info_.version);
   rec.length = body_.size() - rec.offset;
-  records_.push_back(rec);
-  return {records_.size() - 1, step.mode, step.abs_eb, rec.length};
+  info_.records.push_back(rec);
+  return {info_.records.size() - 1, step.mode, step.abs_eb, rec.length};
 }
 
 Expected<Field> TemporalWriter::read(std::size_t t) {
-  if (t >= records_.size())
-    return Status::error(ErrCode::kInvalidArgument,
-                         "timestep " + std::to_string(t) + " out of range (" +
-                             std::to_string(records_.size()) + " stored)");
-  return decode_at(enc_->codec(), dims_, body_, records_, t);
+  if (Status s = in_range(t, info_.records.size()); !s.ok()) return s;
+  return decode_at(t);
+}
+
+Expected<Field> TemporalWriter::decode_at(std::size_t t) {
+  auto k = keyframe_before(info_.records, t);
+  if (!k.ok()) return k.status();
+  Field ref;
+  for (std::size_t i = *k; i <= t; ++i) {
+    const RecordInfo& at = info_.records[i];
+    ByteReader r(std::span<const std::uint8_t>(body_).subspan(at.offset,
+                                                               at.length));
+    RecordInfo rec;
+    Status s = parse_record(r, rec, info_.version);
+    if (s.ok())
+      s = fold_decoded(enc_->codec(), rec.payload, rec.mode == kModeResidual,
+                       info_.dims, ref);
+    if (!s.ok()) return s;
+  }
+  return ref;
 }
 
 std::vector<std::uint8_t> TemporalWriter::bytes() const {
   std::vector<std::uint8_t> out = body_;
-  const auto footer = write_footer(records_);
+  const auto footer = write_footer(info_.records);
   out.insert(out.end(), footer.begin(), footer.end());
   return out;
 }
@@ -294,39 +208,29 @@ Expected<std::unique_ptr<TemporalReader>> TemporalReader::open(
   if (!codec.ok()) return codec.status();
   std::unique_ptr<TemporalReader> r(new TemporalReader());
   r->info_ = std::move(*parsed);
-  r->dec_ = std::make_unique<TemporalCompressor>(
-      std::move(*codec), r->info_.dims, r->info_.eb, r->info_.gop,
-      Mode::kAuto);
+  r->codec_ = std::move(*codec);
   return r;
 }
 
 Expected<Field> TemporalReader::read(std::size_t t) {
   const auto& recs = info_.records;
-  if (t >= recs.size())
-    return Status::error(ErrCode::kInvalidArgument,
-                         "timestep " + std::to_string(t) + " out of range (" +
-                             std::to_string(recs.size()) + " stored)");
+  if (Status s = in_range(t, recs.size()); !s.ok()) return s;
   auto k = keyframe_before(recs, t);
   if (!k.ok()) return k.status();
   // Continue the memoized chain when it sits inside [keyframe, t];
-  // otherwise re-seek from the keyframe.
-  std::size_t start = next_;
-  if (next_ == 0 || next_ < *k || next_ > t) {
-    dec_->reset();
-    start = *k;
-  }
+  // otherwise re-seek from the keyframe (an intra record: it replaces
+  // whatever the chain held).
+  std::size_t i = next_;
+  if (next_ == 0 || next_ < *k || next_ > t) i = *k;
   next_ = 0;  // invalid until the loop below completes
-  Field out;
-  for (std::size_t i = start; i <= t; ++i) {
-    auto f = dec_->decode_step(recs[i].mode, recs[i].payload);
-    if (!f.ok()) {
-      dec_->reset();
-      return f.status();
-    }
-    out = std::move(*f);
-  }
+  for (; i <= t; ++i)
+    if (Status s = fold_decoded(*codec_, recs[i].payload,
+                                recs[i].mode == kModeResidual, info_.dims,
+                                ref_);
+        !s.ok())
+      return s;
   next_ = t + 1;
-  return out;
+  return ref_;
 }
 
 }  // namespace aesz::temporal

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -10,6 +9,7 @@
 #include "data/field.hpp"
 #include "predictors/compressor.hpp"
 #include "predictors/error_bound.hpp"
+#include "predictors/registry.hpp"
 #include "temporal/aetc.hpp"
 #include "util/expected.hpp"
 
@@ -24,14 +24,6 @@ enum class Mode : std::uint8_t {
 
 Expected<Mode> parse_mode(const std::string& spec);
 const char* mode_name(Mode m);
-
-/// Builds the inner codec for a given field rank. Defaults to
-/// CodecRegistry::create(name, rank); callers with out-of-registry
-/// configuration (an AE-SZ instance loaded from a trained model file)
-/// supply their own.
-using CodecFactory =
-    std::function<std::unique_ptr<Compressor>(const std::string& name,
-                                              int rank)>;
 
 /// Residual temporal codec over any registry compressor: timestep t is
 /// coded either intra (the inner codec stream of the frame itself) or as
@@ -48,11 +40,6 @@ using CodecFactory =
 /// the stream's bound resolves to for the ORIGINAL frame at t (rel/psnr
 /// bounds resolve against each frame's own value range) — relative bounds
 /// stay relative to the data, not to the residual.
-///
-/// One instance drives one direction: compress_step() advances the
-/// encoder chain, decode_step() the decoder chain. Mixing directions on
-/// one instance is only sound when the chains coincide (an appender
-/// reading back what it just wrote).
 ///
 /// Keyframes: step 0 is always intra; with gop > 0 every gop-th step is
 /// forced intra, so seeking and corruption containment stay O(gop). Inner
@@ -77,15 +64,6 @@ class TemporalCompressor {
   /// Throws aesz::Error(kInvalidArgument) on a dims mismatch.
   StepResult compress_step(const Field& f);
 
-  /// Decode one record and advance the decoder's reference chain. A
-  /// residual record without a reference (decoder not positioned on the
-  /// preceding timestep) is a corrupt-stream error.
-  Expected<Field> decode_step(std::uint8_t mode,
-                              std::span<const std::uint8_t> payload);
-
-  /// Drop the reference chain (before seeking to a keyframe).
-  void reset();
-
   /// Reposition the chain explicitly: `ref` is the decoded frame of
   /// timestep `step - 1`. How a re-opened appender resumes mid-stream —
   /// `step` must be the absolute timestep count so the keyframe cadence
@@ -102,8 +80,7 @@ class TemporalCompressor {
   ErrorBound eb_;
   std::size_t gop_;
   Mode mode_;
-  Field ref_;
-  bool has_ref_ = false;
+  Field ref_;  // the decoded timestep step_ - 1
   std::size_t step_ = 0;
 };
 
@@ -170,28 +147,31 @@ class TemporalWriter {
   /// open(recover=true) resumes from, never a footer pointing at records
   /// that were lost in the page cache.
   std::span<const std::uint8_t> body() const { return body_; }
-  std::vector<std::uint8_t> footer() const { return write_footer(records_); }
+  std::vector<std::uint8_t> footer() const {
+    return write_footer(info_.records);
+  }
 
-  std::size_t timesteps() const { return records_.size(); }
+  std::size_t timesteps() const { return info_.records.size(); }
   std::size_t body_bytes() const { return body_.size(); }
-  const Dims& dims() const { return dims_; }
-  const ErrorBound& eb() const { return eb_; }
-  const std::string& inner() const { return inner_; }
-  std::size_t gop() const { return gop_; }
+  const Dims& dims() const { return info_.dims; }
+  const ErrorBound& eb() const { return info_.eb; }
+  const std::string& inner() const { return info_.inner; }
+  std::size_t gop() const { return info_.gop; }
 
  private:
   TemporalWriter() = default;
 
-  std::string inner_;
-  Dims dims_;
-  ErrorBound eb_;
-  std::size_t gop_ = 8;
-  /// Record format this stream was opened with — a re-opened v1 artifact
-  /// keeps appending v1 records (aetc.hpp: one artifact, one format).
-  std::uint8_t version_ = kFormatVersion;
-  std::vector<std::uint8_t> body_;   // header + records, no footer
-  std::vector<RecordInfo> records_;  // payload spans NOT set (body_
-                                     // reallocates); offset/length are
+  /// Decode timestep t from scratch: seek to the nearest keyframe, then
+  /// chain residuals forward — the read path, and the reopen that
+  /// restores the encoder chain from the last timestep.
+  Expected<Field> decode_at(std::size_t t);
+
+  /// The header this stream was opened with (a re-opened v1 artifact keeps
+  /// appending v1 records: aetc.hpp, one artifact, one format) and its
+  /// record index. Record payload spans are NOT set — body_ reallocates;
+  /// offset/length locate each record in it.
+  StreamInfo info_;
+  std::vector<std::uint8_t> body_;  // header + records, no footer
   std::unique_ptr<TemporalCompressor> enc_;
 };
 
@@ -213,8 +193,9 @@ class TemporalReader {
   TemporalReader() = default;
 
   StreamInfo info_;
-  std::unique_ptr<TemporalCompressor> dec_;
-  std::size_t next_ = 0;  // timestep the memoized decoder chain expects
+  std::unique_ptr<Compressor> codec_;
+  Field ref_;             // the memoized decoder chain: timestep next_ - 1
+  std::size_t next_ = 0;  // timestep the chain expects next (0 = none)
 };
 
 }  // namespace aesz::temporal

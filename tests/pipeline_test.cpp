@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "data/synth.hpp"
+#include "format/container.hpp"
 #include "metrics/metrics.hpp"
 #include "pipeline/container.hpp"
 #include "pipeline/parallel_compressor.hpp"
@@ -149,17 +150,16 @@ TEST(Sharder, AutoChunkRowsTargetsOneMiBIndependentOfThreads) {
 TEST(Container, SniffAndPeek) {
   auto c = reg().create("parallel:SZ2.1", 2).value();
   const auto stream = c->compress(field_for_rank(2), ErrorBound::Rel(1e-2));
-  EXPECT_TRUE(pipeline::is_container(stream));
-  const auto inner = pipeline::peek_inner_magic(stream);
-  ASSERT_TRUE(inner.ok());
-  EXPECT_EQ(*inner, reg().find("SZ2.1")->magic);
+  const auto pre = format::peek(stream);
+  ASSERT_TRUE(pre.ok()) << pre.status().str();
+  EXPECT_EQ(pre->magic, pipeline::kContainerMagic);
+  EXPECT_EQ(pre->inner_magic, reg().find("SZ2.1")->magic);
+  EXPECT_EQ(pre->dims, field_for_rank(2).dims());
 
   const auto plain = reg().create("SZ2.1", 2).value()->compress(
       field_for_rank(2), ErrorBound::Rel(1e-2));
-  EXPECT_FALSE(pipeline::is_container(plain));
-  EXPECT_EQ(pipeline::peek_inner_magic(plain).status().code,
-            ErrCode::kBadMagic);
-  EXPECT_EQ(pipeline::peek_inner_magic({}).status().code, ErrCode::kTruncated);
+  EXPECT_EQ(format::peek(plain).status().code, ErrCode::kBadMagic);
+  EXPECT_EQ(format::peek({}).status().code, ErrCode::kTruncated);
 }
 
 TEST(Container, HeaderRecordsRequestAndResolvedBound) {

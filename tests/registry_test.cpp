@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "data/synth.hpp"
+#include "format/container.hpp"
 #include "metrics/metrics.hpp"
 #include "pipeline/container.hpp"
 #include "predictors/registry.hpp"
@@ -257,12 +258,8 @@ TEST(Registry, ZeroAndSingleByteInputsAreTypedErrors) {
             ErrCode::kTruncated);
   EXPECT_EQ(pipeline::read_container(one_byte).status().code,
             ErrCode::kTruncated);
-  EXPECT_EQ(pipeline::peek_inner_magic(empty).status().code,
-            ErrCode::kTruncated);
-  EXPECT_EQ(pipeline::peek_inner_magic(one_byte).status().code,
-            ErrCode::kTruncated);
-  EXPECT_FALSE(pipeline::is_container(empty));
-  EXPECT_FALSE(pipeline::is_container(one_byte));
+  EXPECT_EQ(format::peek(empty).status().code, ErrCode::kTruncated);
+  EXPECT_EQ(format::peek(one_byte).status().code, ErrCode::kTruncated);
   for (const auto& name : reg().names()) {
     auto c = reg().create(name, 3).value();
     const auto result = c->decompress(one_byte);

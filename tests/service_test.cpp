@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstring>
@@ -313,6 +316,39 @@ TEST(TcpTransport, HostileLengthPrefixIsRejectedBeforeAllocation) {
   EXPECT_EQ(r.status().code, ErrCode::kCorruptStream);
 }
 
+/// A length prefix within kMaxFrameBytes is no licence to allocate it:
+/// the receive buffer grows with the bytes that actually arrive. The
+/// receive runs in a forked child so its peak RSS is measurable alone
+/// (wait4's rusage); a peer that declares 512 MiB and hangs up must cost
+/// the receiver a few KiB, not the declared size.
+TEST(TcpTransport, DeclaredLengthIsNotAllocatedBeforeTheBytesArrive) {
+  auto [client, server] = transport_pair();
+  rusage self{};
+  ASSERT_EQ(::getrusage(RUSAGE_SELF, &self), 0);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    const auto r = server->recv_frame();
+    ::_exit(r.ok() ? 0 : static_cast<int>(r.status().code));
+  }
+  const std::uint32_t declared = 512u << 20;  // 512 MiB, under the cap
+  std::uint8_t prefix[4];
+  std::memcpy(prefix, &declared, 4);
+  ASSERT_TRUE(client->send_raw({prefix, 4}).ok());
+  client->shutdown();
+  int status = 0;
+  rusage child{};
+  ASSERT_EQ(::wait4(pid, &status, 0, &child), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), static_cast<int>(ErrCode::kCorruptStream));
+  // ru_maxrss is in KiB. The child starts with at most the parent's
+  // resident pages, so its growth is measured above the parent's peak.
+  const long growth_kib = child.ru_maxrss - self.ru_maxrss;
+  EXPECT_LT(growth_kib, 64L << 10)
+      << "peak RSS " << child.ru_maxrss << " KiB, parent " << self.ru_maxrss
+      << " KiB";
+}
+
 TEST(TcpTransport, TruncatedLengthPrefixSurfacesOnClose) {
   auto [client, server] = transport_pair();
   const std::uint8_t partial[2] = {5, 0};  // half a length prefix
@@ -333,6 +369,24 @@ TEST(TcpTransport, ConnectToClosedPortIsTypedError) {
 }
 
 // ------------------------------------------------------------- server ----
+
+/// The decompress op builds its cached codec at the rank the stream's
+/// own header declares — a 3-D AE-SZ stream needs the 3-D model. The
+/// rank sits after the v3 header's checksum field, not at byte 5.
+TEST(Server, DecompressBuildsTheCodecAtTheStreamsRank) {
+  svc::Server server({1, "", "CESM-CLDHGH"});
+  auto codec = CodecRegistry::instance().create("AE-SZ", 3).value();
+  const Field f = field_for_rank(3);
+  const auto stream = codec->compress(f, ErrorBound::Rel(1e-2));
+  for (const char* name : {"", "AE-SZ"}) {
+    const auto resp =
+        server.handle_frame(svc::encode_decompress_request({name, stream}));
+    const auto out = svc::parse_decompress_response(resp);
+    ASSERT_TRUE(out.ok()) << "codec '" << name << "': "
+                          << svc::parse_error_response(resp)->message;
+    EXPECT_EQ(out->dims, f.dims());
+  }
+}
 
 TEST(Server, UnknownCodecAndNonRequestOpcodesAreErrorFrames) {
   svc::Server server({1, "", "CESM-CLDHGH"});

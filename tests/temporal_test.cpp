@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "data/synth.hpp"
+#include "format/container.hpp"
 #include "temporal/aetc.hpp"
 #include "temporal/temporal.hpp"
 #include "util/rng.hpp"
@@ -323,9 +324,9 @@ TEST(AetcHostile, HeaderFieldValidation) {
     auto parsed = read_stream(bad);
     ASSERT_FALSE(parsed.ok());
     EXPECT_EQ(parsed.status().code, ErrCode::kBadMagic);
-    EXPECT_FALSE(is_temporal(bad));
+    EXPECT_EQ(format::peek(bad).status().code, ErrCode::kBadMagic);
   }
-  EXPECT_TRUE(is_temporal(artifact));
+  EXPECT_EQ(format::peek(artifact).value().magic, kStreamMagic);
 }
 
 TEST(AetcHostile, UnknownInnerCodecIsUnsupportedNotACrash) {
