@@ -37,7 +37,7 @@ Status send_all(int fd, const std::uint8_t* data, std::size_t n) {
 enum class RecvResult { kOk, kClosed, kTimeout };
 
 /// First receive-buffer size of a frame body; it doubles from there.
-constexpr std::size_t kRecvChunk = std::size_t{64} << 10;
+constexpr std::size_t kRecvChunk = std::size_t{1} << 20;
 
 /// Read exactly n bytes. `timeout_ms >= 0` bounds each wait for the socket
 /// to become readable (poll before recv), so a wedged peer yields kTimeout
