@@ -506,5 +506,63 @@ TEST(ParallelPipeline, SingleChunkFieldStillRoundTrips) {
   EXPECT_LE(metrics::max_abs_err(f.values(), g.values()), 1e-3 * (1 + 1e-9));
 }
 
+/// One instance reused across calls, fields and ranks (2-D then 3-D) must
+/// produce exactly what a fresh instance produces for each call: worker
+/// state left by an earlier field or rank never leaks into a later stream
+/// or decode.
+TEST(ParallelPipeline, ReusedInstanceMatchesFreshInstancePerCall) {
+  const auto variant = [](int rank) {
+    return rank == 2 ? synth::cesm_freqsh(40, 48, 7)
+                     : synth::hurricane_u(24, 16, 16, 11);
+  };
+  const auto options = [](const std::string& base) {
+    return ParallelCompressor::Options{
+        .inner = base, .threads = 3, .chunk_rows = 8};
+  };
+  const auto same_values = [](const Field& a, const Field& b) {
+    return a.dims() == b.dims() &&
+           std::equal(a.values().begin(), a.values().end(),
+                      b.values().begin());
+  };
+  for (const auto& name : reg().names()) {
+    if (name.rfind("parallel:", 0) != 0) continue;
+    const std::string base = name.substr(9);
+    int first = 0;
+    for (int rank = 2; rank <= 3 && first == 0; ++rank)
+      if (ParallelCompressor(options(base), rank).supports_rank(rank))
+        first = rank;
+    ASSERT_NE(first, 0) << name;
+    ParallelCompressor shared(options(base), first);
+    std::vector<std::uint8_t> first_stream;
+    for (int rank = 2; rank <= 3; ++rank) {
+      for (const Field& f : {field_for_rank(rank), variant(rank)}) {
+        ParallelCompressor fresh(options(base), rank);
+        if (!fresh.supports_rank(rank)) continue;
+        const auto expected = fresh.compress(f, ErrorBound::Rel(1e-2));
+        if (shared.supports_rank(rank)) {
+          EXPECT_EQ(shared.compress(f, ErrorBound::Rel(1e-2)), expected)
+              << name << " rank " << rank;
+        }
+        if (first_stream.empty()) first_stream = expected;
+        // Decoding on the reused instance (at any rank the stream has)
+        // matches a fresh decode value for value.
+        auto got = shared.decompress(expected);
+        auto want = ParallelCompressor(options(base), rank)
+                        .decompress(expected);
+        ASSERT_TRUE(got.ok()) << name << ": " << got.status().str();
+        ASSERT_TRUE(want.ok()) << name << ": " << want.status().str();
+        EXPECT_TRUE(same_values(*got, *want)) << name << " rank " << rank;
+      }
+    }
+    // Back to the first stream after every other rank and field.
+    auto again = shared.decompress(first_stream);
+    auto want = ParallelCompressor(options(base), first)
+                    .decompress(first_stream);
+    ASSERT_TRUE(again.ok()) << name << ": " << again.status().str();
+    ASSERT_TRUE(want.ok());
+    EXPECT_TRUE(same_values(*again, *want)) << name;
+  }
+}
+
 }  // namespace
 }  // namespace aesz

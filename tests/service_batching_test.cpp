@@ -184,6 +184,102 @@ TEST(BatchingScheduler, CoalescesPipelinedRequestsByteIdentically) {
   EXPECT_EQ(solo_server.snapshot().get("batched_requests"), 0u);
 }
 
+svc::Server::Options coalescing() {
+  svc::Server::Options opt;
+  opt.max_batch = 8;
+  opt.batch_delay_us = 300000;  // generous: the full group ends it early
+  return opt;
+}
+
+svc::Server::Options never_coalescing() {
+  svc::Server::Options opt;
+  opt.max_batch = 1;
+  return opt;
+}
+
+/// Pipeline `frames` over one connection to `server` and return the raw
+/// response frames in request order.
+std::vector<std::vector<std::uint8_t>> exchange(
+    svc::Server& server, const std::vector<std::vector<std::uint8_t>>& frames) {
+  Session session(server);
+  for (const auto& f : frames) EXPECT_TRUE(session.client->send_frame(f).ok());
+  std::vector<std::vector<std::uint8_t>> out;
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    auto response = session.client->recv_frame();
+    EXPECT_TRUE(response.ok()) << i;
+    out.push_back(response.ok() ? std::move(*response)
+                                : std::vector<std::uint8_t>{});
+  }
+  return out;
+}
+
+std::vector<std::vector<std::uint8_t>> aesz_frames(
+    const std::vector<Field>& fields, const std::vector<ErrorBound>& ebs) {
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    const auto floats = fields[i].values();
+    svc::CompressRequest req;
+    req.codec = "AE-SZ";
+    req.eb = ebs[i];
+    req.dims = fields[i].dims();
+    req.field = {reinterpret_cast<const std::uint8_t*>(floats.data()),
+                 floats.size() * sizeof(float)};
+    frames.push_back(svc::encode_compress_request(req));
+  }
+  return frames;
+}
+
+/// Coalescing is invisible in the per-request rows: the same pipelined
+/// frames leave the same counts and sizes on a batching server as on one
+/// that never batches.
+TEST(BatchingScheduler, PerRequestRowsMatchNeverBatchingServer) {
+  const auto frames = aesz_frames(
+      tiny_fields(8), std::vector<ErrorBound>(8, ErrorBound::Rel(1e-2)));
+  svc::Server batching(coalescing());
+  svc::Server solo(never_coalescing());
+  (void)exchange(batching, frames);
+  (void)exchange(solo, frames);
+  const auto b = batching.snapshot();
+  const auto s = solo.snapshot();
+  EXPECT_EQ(b.get("batched_requests"), 8u);
+  EXPECT_EQ(s.get("batched_requests"), 0u);
+  for (const char* row :
+       {"requests", "compress_requests", "bytes_in", "bytes_out",
+        "error_responses", "request_ns_compress_count",
+        "request_bytes_in_sum", "response_bytes_out_sum"})
+    EXPECT_EQ(b.get(row), s.get(row)) << row;
+  EXPECT_EQ(b.get("codec_cache_hits") + b.get("codec_cache_misses"),
+            s.get("codec_cache_hits") + s.get("codec_cache_misses"));
+}
+
+/// One unusable bound in a group makes compress_batch throw; the group is
+/// redone solo, so the seven good requests still get the solo streams and
+/// the bad one gets exactly the solo server's error frame.
+TEST(BatchingScheduler, FailingMemberRedoesGroupSoloByteIdentically) {
+  std::vector<ErrorBound> ebs(8, ErrorBound::Rel(1e-2));
+  ebs[5] = ErrorBound::Abs(-1.0);
+  const auto frames = aesz_frames(tiny_fields(8), ebs);
+  svc::Server batching(coalescing());
+  svc::Server solo(never_coalescing());
+  const auto got = exchange(batching, frames);
+  const auto want = exchange(solo, frames);
+  ASSERT_EQ(got.size(), 8u);
+  ASSERT_EQ(want.size(), 8u);
+  for (std::size_t i = 0; i < 8; ++i) {
+    const auto op = svc::peek_op(want[i]);
+    ASSERT_TRUE(op.ok()) << i;
+    EXPECT_EQ(*op, i == 5 ? svc::Op::kErrorResponse
+                          : svc::Op::kCompressResponse)
+        << i;
+    EXPECT_EQ(got[i], want[i]) << "response " << i << " differs";
+  }
+  const auto snap = batching.snapshot();
+  EXPECT_EQ(snap.get("batched_requests"), 8u);
+  EXPECT_EQ(snap.get("batch_size_sum"), 8u);
+  EXPECT_EQ(snap.get("error_responses"), 1u);
+  EXPECT_EQ(solo.snapshot().get("error_responses"), 1u);
+}
+
 /// Interleaving a non-batchable codec between AE-SZ requests must not pull
 /// it into a batch group, and every response must still be correct and
 /// ordered.
