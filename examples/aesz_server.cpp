@@ -1,12 +1,12 @@
 // aesz_server — long-lived TCP compression server over the service layer
-// (src/service/): an event-driven loop (epoll, or poll with --poll)
-// multiplexes every loopback connection through one thread while request
-// execution runs on the server's worker pool, with cross-request AE-SZ
-// inference batching, admission control, and per-connection backpressure
-// (docs/PROTOCOL.md, docs/ARCHITECTURE.md).
+// (src/service/): an event-driven epoll loop multiplexes every loopback
+// connection through one thread while request execution runs on the
+// server's worker pool, with cross-request AE-SZ inference batching,
+// admission control, and per-connection backpressure (docs/PROTOCOL.md,
+// docs/ARCHITECTURE.md).
 //
 //   aesz_server [--port N] [--threads N] [--model m.bin --field NAME]
-//               [--port-file PATH] [--once [N]] [--poll]
+//               [--port-file PATH] [--once [N]]
 //               [--max-inflight N] [--max-batch N] [--batch-delay-us N]
 //               [--max-sessions N] [--session-idle-ms N]
 //               [--trace-out FILE] [--slow-ms MS] [--log-level LEVEL]
@@ -18,7 +18,6 @@
 //   --once [N]         exit after N connections have come and gone (CI
 //                      mode); bare --once means --once 1, the flag's
 //                      pre-event-loop spelling
-//   --poll             use the poll(2) backend instead of epoll
 //   --max-inflight N   admission cap before kOverloaded answers (default 64)
 //   --max-batch N      AE-SZ requests coalesced per inference (default 8;
 //                      1 disables batching)
@@ -75,7 +74,7 @@ int main(int argc, char** argv) {
                   "max-inflight", "max-batch", "batch-delay-us",
                   "max-sessions", "session-idle-ms", "trace-out", "slow-ms",
                   "log-level"},
-                 /*known_flags=*/{"poll"},
+                 /*known_flags=*/{},
                  /*optional_value_keys=*/{"once"});
 
     service::Server::Options opt;
@@ -116,7 +115,6 @@ int main(int argc, char** argv) {
     }
 
     service::EventServer::Options ev;
-    ev.force_poll = args.has("poll");
     ev.max_inflight =
         static_cast<std::size_t>(args.get_long("max-inflight", 64));
     ev.accept_limit = static_cast<std::uint64_t>(args.get_long("once", 0));

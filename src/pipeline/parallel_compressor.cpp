@@ -37,9 +37,11 @@ ParallelCompressor::ParallelCompressor(Options opt, int rank_hint,
                                        InnerFactory factory)
     : opt_(std::move(opt)),
       factory_(std::move(factory)),
+      rank_hint_(rank_hint),
       prototype_(factory_(rank_hint)),
       inner_name_(prototype_->name()),
-      threads_(resolve_threads(opt_.threads)) {}
+      threads_(resolve_threads(opt_.threads)),
+      workers_(threads_) {}
 
 bool ParallelCompressor::error_bounded() const {
   return prototype_->error_bounded();
@@ -49,20 +51,24 @@ bool ParallelCompressor::supports_rank(int rank) const {
   return prototype_->supports_rank(rank);
 }
 
-namespace {
+Compressor& ParallelCompressor::worker(std::size_t w, int rank) {
+  if (w == 0 && rank == rank_hint_) return *prototype_;
+  Worker& slot = workers_[w];
+  if (!slot.codec || slot.rank != rank) slot = {rank, factory_(rank)};
+  return *slot.codec;
+}
 
-/// Run fn(codec, chunk_index) over every index in [0, n): sequentially on
-/// one fresh inner instance when a single worker suffices, otherwise on a
-/// ThreadPool with one fresh inner instance per worker and dynamic
-/// (atomic-counter) chunk scheduling. The first exception thrown by any
-/// worker is rethrown here; remaining workers stop at their next pull.
+/// Sequential on worker 0 when a single worker suffices, otherwise a
+/// ThreadPool task per worker with dynamic (atomic-counter) chunk
+/// scheduling; each task touches only its own worker slot. The first
+/// exception thrown by any worker is rethrown here; remaining workers stop
+/// at their next pull.
 template <typename Fn>
-void for_each_chunk(const InnerFactory& factory, int rank,
-                    std::size_t threads, std::size_t n, Fn&& fn) {
-  const std::size_t workers = std::min(threads, n);
+void ParallelCompressor::for_each_chunk(int rank, std::size_t n, Fn&& fn) {
+  const std::size_t workers = std::min(threads_, n);
   if (workers <= 1) {
-    auto codec = factory(rank);
-    for (std::size_t i = 0; i < n; ++i) fn(*codec, i);
+    Compressor& codec = worker(0, rank);
+    for (std::size_t i = 0; i < n; ++i) fn(codec, i);
     return;
   }
   std::atomic<std::size_t> next{0};
@@ -71,14 +77,14 @@ void for_each_chunk(const InnerFactory& factory, int rank,
   std::vector<std::future<void>> futures;
   futures.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
-    futures.push_back(pool.submit([&factory, &fn, &next, &failed, rank, n] {
-      auto codec = factory(rank);
+    futures.push_back(pool.submit([this, w, &fn, &next, &failed, rank, n] {
+      Compressor& codec = worker(w, rank);
       for (;;) {
         if (failed.load(std::memory_order_acquire)) return;
         const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= n) return;
         try {
-          fn(*codec, i);
+          fn(codec, i);
         } catch (...) {
           failed.store(true, std::memory_order_release);
           throw;
@@ -96,8 +102,6 @@ void for_each_chunk(const InnerFactory& factory, int rank,
   }
   if (first) std::rethrow_exception(first);
 }
-
-}  // namespace
 
 std::vector<std::uint8_t> ParallelCompressor::compress(const Field& f,
                                                        const ErrorBound& eb) {
@@ -118,11 +122,9 @@ std::vector<std::uint8_t> ParallelCompressor::compress(const Field& f,
       opt_.chunk_rows != 0 ? opt_.chunk_rows : auto_chunk_rows(f.dims());
   const std::vector<ChunkSpec> chunks = make_chunks(f.dims(), chunk_rows);
   std::vector<std::vector<std::uint8_t>> payloads(chunks.size());
-  for_each_chunk(factory_, rank, threads_, chunks.size(),
-                 [&](Compressor& codec, std::size_t i) {
-                   payloads[i] =
-                       codec.compress(extract_chunk(f, chunks[i]), chunk_eb);
-                 });
+  for_each_chunk(rank, chunks.size(), [&](Compressor& codec, std::size_t i) {
+    payloads[i] = codec.compress(extract_chunk(f, chunks[i]), chunk_eb);
+  });
   // Every inner stream leads with its codec magic; lift the first one into
   // the container header so streams stay identifiable without the wrapper.
   ByteReader r(payloads.front());
@@ -140,7 +142,7 @@ Field ParallelCompressor::decompress_impl(
   Field out(info.dims);
   // Workers write disjoint axis-0 slabs of `out`; no synchronization
   // needed beyond the joins inside for_each_chunk.
-  for_each_chunk(factory_, info.dims.rank, threads_, info.chunks.size(),
+  for_each_chunk(info.dims.rank, info.chunks.size(),
                  [&](Compressor& codec, std::size_t i) {
                    auto chunk = codec.decompress(info.payloads[i]);
                    if (!chunk.ok())

@@ -25,6 +25,14 @@ using InnerFactory =
 /// Any registry codec can be wrapped without touching its own stream
 /// format; the registry exposes this as `parallel:<codec>`.
 ///
+/// Warm workers: each worker's inner instance is built on first use and
+/// kept for later calls, rebuilt only when a call's rank differs from the
+/// one it was built for; worker 0 at the construction rank is the
+/// prototype itself. So a wrapped AE-SZ loads its model once per worker
+/// for the life of the wrapper, not once per worker per call. The shared
+/// instances make one ParallelCompressor unsafe to call concurrently, like
+/// any Compressor.
+///
 /// Error-bound semantics (max-over-chunks guarantee): the requested bound
 /// is resolved against the WHOLE field's value range once, and every chunk
 /// is compressed under that absolute tolerance. Each point therefore
@@ -35,8 +43,9 @@ using InnerFactory =
 /// Determinism: chunk boundaries depend only on the field dims and the
 /// chunk_rows option (the auto default is a function of the dims alone),
 /// never on the thread count, and every inner instance built by the same
-/// factory is identical (registry codecs use fixed seeds) — so 1-thread
-/// and N-thread runs produce byte-identical containers.
+/// factory is identical (registry codecs use fixed seeds) and keeps no
+/// state between calls that alters its output — so 1-thread and N-thread
+/// runs, and first and later calls, produce byte-identical containers.
 class ParallelCompressor : public Compressor {
  public:
   struct Options {
@@ -69,11 +78,29 @@ class ParallelCompressor : public Compressor {
   Field decompress_impl(std::span<const std::uint8_t> stream) override;
 
  private:
+  /// A warm inner instance and the rank it was built for.
+  struct Worker {
+    int rank = 0;
+    std::unique_ptr<Compressor> codec;
+  };
+
+  /// Worker `w`'s inner instance for `rank`: the prototype for worker 0 at
+  /// the construction rank, otherwise slot `w`, (re)built when empty or
+  /// built for another rank.
+  Compressor& worker(std::size_t w, int rank);
+
+  /// Run fn(codec, chunk_index) over every index in [0, n) on up to
+  /// threads_ warm workers.
+  template <typename Fn>
+  void for_each_chunk(int rank, std::size_t n, Fn&& fn);
+
   Options opt_;
   InnerFactory factory_;
-  std::unique_ptr<Compressor> prototype_;  // metadata queries only
+  int rank_hint_;
+  std::unique_ptr<Compressor> prototype_;  // metadata queries and worker 0
   std::string inner_name_;
   std::size_t threads_ = 1;
+  std::vector<Worker> workers_;  // one slot per worker, empty until used
 };
 
 }  // namespace aesz::pipeline

@@ -1,6 +1,5 @@
 #include "service/client.hpp"
 
-#include <cstring>
 #include <utility>
 
 namespace aesz::service {
@@ -56,13 +55,11 @@ Expected<std::vector<std::uint8_t>> Client::round_trip(
 Expected<Client::CompressResult> Client::compress(const std::string& codec,
                                                   const Field& f,
                                                   const ErrorBound& eb) {
-  const auto floats = f.values();
   CompressRequest req;
   req.codec = codec;
   req.eb = eb;
   req.dims = f.dims();
-  req.field = {reinterpret_cast<const std::uint8_t*>(floats.data()),
-               floats.size() * sizeof(float)};
+  req.field = field_blob(f);
   const auto frame = encode_compress_request(req);
   auto response = round_trip(frame, Op::kCompressResponse);
   if (!response.ok()) return response.status();
@@ -82,13 +79,11 @@ std::vector<Expected<Client::CompressResult>> Client::compress_many(
   std::size_t sent = 0;
   Status send_failure;
   for (const Field* f : fields) {
-    const auto floats = f->values();
     CompressRequest req;
     req.codec = codec;
     req.eb = eb;
     req.dims = f->dims();
-    req.field = {reinterpret_cast<const std::uint8_t*>(floats.data()),
-                 floats.size() * sizeof(float)};
+    req.field = field_blob(*f);
     if (Status s = transport_->send_frame(encode_compress_request(req));
         !s.ok()) {
       send_failure = s;
@@ -143,9 +138,7 @@ Expected<Field> Client::decompress(std::span<const std::uint8_t> stream,
   if (!response.ok()) return response.status();
   auto parsed = parse_decompress_response(*response);
   if (!parsed.ok()) return parsed.status();
-  std::vector<float> values(parsed->dims.total());
-  std::memcpy(values.data(), parsed->field.data(), parsed->field.size());
-  return Field(parsed->dims, std::move(values));
+  return field_from_blob(parsed->dims, parsed->field);
 }
 
 namespace {
@@ -228,11 +221,9 @@ Client::Stream::~Stream() {
 Expected<Client::Stream::AppendInfo> Client::Stream::append(const Field& f) {
   if (!client_)
     return Status::error(ErrCode::kNoSession, "stream handle is closed");
-  const auto floats = f.values();
   AppendTimestepRequest req;
   req.session_id = id_;
-  req.field = {reinterpret_cast<const std::uint8_t*>(floats.data()),
-               floats.size() * sizeof(float)};
+  req.field = field_blob(f);
   const auto frame = encode_append_timestep_request(req);
   // NOT idempotent: replaying an append whose response was lost would
   // store the timestep twice.
@@ -256,9 +247,7 @@ Expected<Field> Client::Stream::read_timestep(std::uint64_t t) {
   if (!response.ok()) return response.status();
   auto parsed = parse_read_timestep_response(*response);
   if (!parsed.ok()) return parsed.status();
-  std::vector<float> values(parsed->dims.total());
-  std::memcpy(values.data(), parsed->field.data(), parsed->field.size());
-  return Field(parsed->dims, std::move(values));
+  return field_from_blob(parsed->dims, parsed->field);
 }
 
 Expected<std::vector<std::uint8_t>> Client::Stream::close() {

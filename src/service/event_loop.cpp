@@ -1,17 +1,13 @@
 #include "service/event_loop.hpp"
 
 #include <fcntl.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cinttypes>
 #include <cstring>
-
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
 
 #include "obs/log.hpp"
 #include "service/protocol.hpp"
@@ -26,34 +22,30 @@ void set_nonblocking(int fd) {
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
+/// Add (`op` = EPOLL_CTL_ADD) or change (EPOLL_CTL_MOD) `fd`'s interest.
+void epoll_interest(int epfd, int op, int fd, bool want_read,
+                    bool want_write) {
+  epoll_event ev{};
+  ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
+  ev.data.fd = fd;
+  ::epoll_ctl(epfd, op, fd, &ev);
+}
+
 }  // namespace
 
 // ----------------------------------------------------------- EventLoop ----
 
-EventLoop::EventLoop(bool force_poll) {
-#ifdef __linux__
-  if (!force_poll) epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
-#else
-  (void)force_poll;
-#endif
+EventLoop::EventLoop() : epfd_(::epoll_create1(EPOLL_CLOEXEC)) {
+  if (epfd_ < 0)
+    throw Error(ErrCode::kIoError,
+                std::string("event loop epoll: ") + std::strerror(errno));
 }
 
-EventLoop::~EventLoop() {
-#ifdef __linux__
-  if (epfd_ >= 0) ::close(epfd_);
-#endif
-}
+EventLoop::~EventLoop() { ::close(epfd_); }
 
 void EventLoop::add(int fd, bool want_read, bool want_write) {
   interest_[fd] = Interest{want_read, want_write};
-#ifdef __linux__
-  if (epfd_ >= 0) {
-    epoll_event ev{};
-    ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
-    ev.data.fd = fd;
-    ::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev);
-  }
-#endif
+  epoll_interest(epfd_, EPOLL_CTL_ADD, fd, want_read, want_write);
 }
 
 void EventLoop::modify(int fd, bool want_read, bool want_write) {
@@ -62,65 +54,29 @@ void EventLoop::modify(int fd, bool want_read, bool want_write) {
   if (it->second.read == want_read && it->second.write == want_write)
     return;
   it->second = Interest{want_read, want_write};
-#ifdef __linux__
-  if (epfd_ >= 0) {
-    epoll_event ev{};
-    ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
-    ev.data.fd = fd;
-    ::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev);
-  }
-#endif
+  epoll_interest(epfd_, EPOLL_CTL_MOD, fd, want_read, want_write);
 }
 
 void EventLoop::remove(int fd) {
   interest_.erase(fd);
-#ifdef __linux__
-  if (epfd_ >= 0) ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
-#endif
+  ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
 }
 
 int EventLoop::wait(std::vector<Event>& out, int timeout_ms) {
-#ifdef __linux__
-  if (epfd_ >= 0) {
-    epoll_event evs[64];
-    const int n = ::epoll_wait(epfd_, evs, 64, timeout_ms);
-    if (n <= 0) return 0;  // timeout or EINTR
-    for (int i = 0; i < n; ++i) {
-      Event e;
-      e.fd = evs[i].data.fd;
-      // EPOLLHUP still allows draining buffered input, so it maps to
-      // readable (a read then observes EOF); only EPOLLERR is fatal here.
-      e.readable = (evs[i].events & (EPOLLIN | EPOLLHUP)) != 0;
-      e.writable = (evs[i].events & EPOLLOUT) != 0;
-      e.error = (evs[i].events & EPOLLERR) != 0;
-      out.push_back(e);
-    }
-    return n;
-  }
-#endif
-  std::vector<pollfd> pfds;
-  pfds.reserve(interest_.size());
-  for (const auto& [fd, in] : interest_) {
-    pollfd p{};
-    p.fd = fd;
-    p.events = static_cast<short>((in.read ? POLLIN : 0) |
-                                  (in.write ? POLLOUT : 0));
-    pfds.push_back(p);
-  }
-  const int n = ::poll(pfds.data(), pfds.size(), timeout_ms);
-  if (n <= 0) return 0;
-  int appended = 0;
-  for (const pollfd& p : pfds) {
-    if (p.revents == 0) continue;
+  epoll_event evs[64];
+  const int n = ::epoll_wait(epfd_, evs, 64, timeout_ms);
+  if (n <= 0) return 0;  // timeout or EINTR
+  for (int i = 0; i < n; ++i) {
     Event e;
-    e.fd = p.fd;
-    e.readable = (p.revents & (POLLIN | POLLHUP)) != 0;
-    e.writable = (p.revents & POLLOUT) != 0;
-    e.error = (p.revents & (POLLERR | POLLNVAL)) != 0;
+    e.fd = evs[i].data.fd;
+    // EPOLLHUP still allows draining buffered input, so it maps to
+    // readable (a read then observes EOF); only EPOLLERR is fatal here.
+    e.readable = (evs[i].events & (EPOLLIN | EPOLLHUP)) != 0;
+    e.writable = (evs[i].events & EPOLLOUT) != 0;
+    e.error = (evs[i].events & EPOLLERR) != 0;
     out.push_back(e);
-    ++appended;
   }
-  return appended;
+  return n;
 }
 
 // --------------------------------------------------------- EventServer ----
@@ -167,7 +123,6 @@ EventServer::EventServer(Server& server, Options opt)
     : server_(server),
       listener_(nullptr),
       opt_(opt),
-      loop_(opt_.force_poll),
       done_q_(std::make_shared<CompletionQueue>()),
       connections_(server.metrics().gauge(
           "ev_connections", "connections currently open")),

@@ -13,11 +13,9 @@
 
 namespace aesz::service {
 
-/// Readiness multiplexer: a thin wrapper over epoll(7) where available,
-/// with a byte-compatible poll(2) fallback (`force_poll` selects it
-/// explicitly, e.g. to exercise both paths in one test binary). Level
-/// triggered in both modes, so handlers may consume partial input and rely
-/// on the next wait() re-reporting readiness.
+/// Readiness multiplexer: a thin wrapper over epoll(7), level triggered,
+/// so handlers may consume partial input and rely on the next wait()
+/// re-reporting readiness.
 class EventLoop {
  public:
   struct Event {
@@ -27,7 +25,8 @@ class EventLoop {
     bool error = false;  // EPOLLERR/EPOLLHUP — treat as fatal for the fd
   };
 
-  explicit EventLoop(bool force_poll = false);
+  /// Throws aesz::Error(kIoError) when no epoll instance can be created.
+  EventLoop();
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
@@ -41,16 +40,14 @@ class EventLoop {
   /// Returns the number of events appended (0 on timeout).
   int wait(std::vector<Event>& out, int timeout_ms);
 
-  bool using_epoll() const { return epfd_ >= 0; }
-
  private:
   struct Interest {
     bool read = false;
     bool write = false;
   };
 
-  int epfd_ = -1;  // epoll instance; -1 = poll fallback
-  std::map<int, Interest> interest_;
+  int epfd_ = -1;
+  std::map<int, Interest> interest_;  // lets modify() skip no-op changes
 };
 
 /// Event-driven multi-client front end over one Server: a single loop
@@ -92,8 +89,6 @@ class EventLoop {
 class EventServer {
  public:
   struct Options {
-    /// Use the poll(2) backend even where epoll is available.
-    bool force_poll = false;
     /// Admission cap: outstanding (submitted, unanswered) requests across
     /// all connections before new requests get kOverloaded answers.
     std::size_t max_inflight = 64;

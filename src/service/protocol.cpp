@@ -1,6 +1,7 @@
 #include "service/protocol.hpp"
 
 #include <cmath>
+#include <cstring>
 
 #include "sz/common.hpp"
 #include "temporal/aetc.hpp"
@@ -751,6 +752,18 @@ Expected<std::uint64_t> peek_session_id(std::span<const std::uint8_t> frame) {
   if (!r.try_get(id))
     return Status::error(ErrCode::kTruncated, "truncated session id");
   return id;
+}
+
+std::span<const std::uint8_t> field_blob(const Field& f) {
+  const auto floats = f.values();
+  return {reinterpret_cast<const std::uint8_t*>(floats.data()),
+          floats.size() * sizeof(float)};
+}
+
+Field field_from_blob(const Dims& dims, std::span<const std::uint8_t> blob) {
+  std::vector<float> values(dims.total());
+  std::memcpy(values.data(), blob.data(), blob.size());
+  return Field(dims, std::move(values));
 }
 
 }  // namespace aesz::service

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "data/field.hpp"
 #include "predictors/error_bound.hpp"
 #include "util/dims.hpp"
 #include "util/expected.hpp"
@@ -385,5 +386,11 @@ Expected<DeadlineRequest> parse_deadline_request(
 /// serialize per-session work without parsing the whole frame. Any other
 /// opcode (or a body too short for the id) is a typed error.
 Expected<std::uint64_t> peek_session_id(std::span<const std::uint8_t> frame);
+
+/// The raw-f32 field blob frames carry: a zero-copy view of `f`'s values,
+/// and a Field copied out of a parsed blob (the parsers have checked that
+/// `blob.size() == dims.total() * 4`).
+std::span<const std::uint8_t> field_blob(const Field& f);
+Field field_from_blob(const Dims& dims, std::span<const std::uint8_t> blob);
 
 }  // namespace aesz::service

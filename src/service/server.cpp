@@ -5,9 +5,9 @@
 #include <cinttypes>
 #include <cmath>
 #include <condition_variable>
-#include <cstring>
 #include <deque>
 #include <optional>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -25,23 +25,46 @@ namespace aesz::service {
 
 namespace {
 
-std::string lower(const std::string& s) {
-  std::string out = s;
-  for (char& c : out)
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
+/// A codec name in its one canonical spelling: lowercased, an optional
+/// `parallel:` prefix split off, and the AE-SZ aliases folded onto
+/// "ae-sz" — so every spelling of one codec ("AE-SZ", "AESZ",
+/// "parallel:aesz", ...) lands on ONE cache slot and one batch group, and
+/// mixed spellings never double-load a model.
+struct CodecName {
+  std::string base;
+  bool parallel = false;
+
+  /// Cache and batch-group key of this codec at `rank`.
+  std::string key(int rank) const {
+    return (parallel ? "parallel:" : "") + base + "#" + std::to_string(rank);
+  }
+};
+
+CodecName canonical(const std::string& name) {
+  constexpr std::string_view kParallel = "parallel:";
+  CodecName c;
+  for (const char ch : name)
+    c.base += static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
+  c.parallel = c.base.starts_with(kParallel);
+  if (c.parallel) c.base.erase(0, kParallel.size());
+  if (c.base == "aesz") c.base = "ae-sz";
+  return c;
 }
 
-/// Split an optional "parallel:" prefix off a lowercased codec name.
-bool strip_parallel(std::string& name) {
-  constexpr const char* kPrefix = "parallel:";
-  if (name.rfind(kPrefix, 0) != 0) return false;
-  name = name.substr(9);
-  return true;
-}
-
-bool is_aesz_name(const std::string& lowered) {
-  return lowered == "ae-sz" || lowered == "aesz";
+/// The one exception -> Status fold of request handling; call it inside a
+/// catch block. An untyped internal throw (kOk) is attributed to the
+/// request as kInternal, and a non-Error exception (a missing model file,
+/// or bad_alloc/length_error from hostile sizes) becomes kInternal too: a
+/// request must never take the server down.
+Status caught_status() {
+  try {
+    throw;
+  } catch (const Error& e) {
+    return Status::error(
+        e.code() == ErrCode::kOk ? ErrCode::kInternal : e.code(), e.what());
+  } catch (const std::exception& e) {
+    return Status::error(ErrCode::kInternal, e.what());
+  }
 }
 
 /// Rank declared by a compressed stream's own header — so a cached
@@ -57,74 +80,6 @@ int stream_rank(std::span<const std::uint8_t> stream) {
   const auto header = sz::read_header(hr, magic);
   return header.ok() ? header->dims.rank : 2;
 }
-
-/// Shared pool of warm inner-codec instances. ParallelCompressor's workers
-/// construct one codec each per compress/decompress call by design; for
-/// AE-SZ that used to mean a full model build per worker per request. The
-/// pool makes those constructions leases instead: an instance is built at
-/// most once per peak-concurrent worker for the lifetime of the cached
-/// wrapper, then reused by every later request.
-struct WarmPool {
-  std::mutex mu;
-  std::vector<std::unique_ptr<Compressor>> free_list;
-  std::function<std::unique_ptr<Compressor>(int)> make;
-  int rank = 2;
-};
-
-/// The cheap stand-in ParallelCompressor workers receive: every operation
-/// leases a real instance from the pool and returns it afterwards, so
-/// constructing a PooledCompressor itself loads nothing.
-class PooledCompressor final : public Compressor {
- public:
-  PooledCompressor(std::shared_ptr<WarmPool> pool, std::string display_name)
-      : pool_(std::move(pool)), name_(std::move(display_name)) {}
-
-  std::string name() const override { return name_; }
-  using Compressor::compress;
-  std::vector<std::uint8_t> compress(const Field& f,
-                                     const ErrorBound& eb) override {
-    Lease lease(*pool_);
-    return lease->compress(f, eb);
-  }
-  bool supports_rank(int rank) const override {
-    Lease lease(*pool_);
-    return lease->supports_rank(rank);
-  }
-
- protected:
-  Field decompress_impl(std::span<const std::uint8_t> stream) override {
-    Lease lease(*pool_);
-    auto result = lease->decompress(stream);
-    if (!result.ok())
-      throw Error(result.status().code, result.status().message);
-    return std::move(*result);
-  }
-
- private:
-  struct Lease {
-    WarmPool& pool;
-    std::unique_ptr<Compressor> inst;
-    explicit Lease(WarmPool& p) : pool(p) {
-      {
-        std::lock_guard<std::mutex> lock(pool.mu);
-        if (!pool.free_list.empty()) {
-          inst = std::move(pool.free_list.back());
-          pool.free_list.pop_back();
-        }
-      }
-      if (!inst) inst = pool.make(pool.rank);  // may throw a typed Error
-    }
-    ~Lease() {
-      if (!inst) return;
-      std::lock_guard<std::mutex> lock(pool.mu);
-      pool.free_list.push_back(std::move(inst));
-    }
-    Compressor* operator->() const { return inst.get(); }
-  };
-
-  std::shared_ptr<WarmPool> pool_;
-  std::string name_;
-};
 
 }  // namespace
 
@@ -263,63 +218,46 @@ Server::~Server() {
 Expected<std::unique_ptr<Compressor>> Server::build_codec(
     const std::string& base, bool parallel, int rank) {
   try {
-    if (base == "ae-sz") {
-      // Every AE-SZ instance — served directly or leased by pipeline
-      // workers — comes through this maker, so ae_model_loads counts true
-      // model constructions wherever they happen.
-      auto make_aesz = [this](int r) -> std::unique_ptr<Compressor> {
-        std::unique_ptr<Compressor> c;
-        if (!opt_.aesz_model.empty()) {
-          // Warm trained-model path: instances come from the server's
-          // model file instead of the registry's fixed-seed default.
-          auto a = std::make_unique<AESZ>(
-              model_zoo::options_for(opt_.aesz_field), /*seed=*/1);
-          a->load_model(opt_.aesz_model);
-          c = std::move(a);
-        } else {
-          auto created = CodecRegistry::instance().create("ae-sz", r);
-          if (!created.ok())
-            throw Error(created.status().code, created.status().message);
-          c = std::move(created).value();
-        }
-        counters_.ae_model_loads.inc();
-        return c;
-      };
-      if (!parallel) return make_aesz(rank);
-      // parallel:AE-SZ — route every pipeline worker through a warm pool
-      // owned by the cached wrapper, so repeated requests reuse the same
-      // loaded models instead of rebuilding one per worker per request.
-      auto pool = std::make_shared<WarmPool>();
-      pool->make = make_aesz;
-      pool->rank = rank;
-      return std::unique_ptr<Compressor>(
-          std::make_unique<pipeline::ParallelCompressor>(
-              pipeline::ParallelCompressor::Options{base, 0, 0}, rank,
-              [pool](int) -> std::unique_ptr<Compressor> {
-                return std::make_unique<PooledCompressor>(pool, "AE-SZ");
-              }));
-    }
-    return CodecRegistry::instance().create(
-        (parallel ? "parallel:" : "") + base, rank);
-  } catch (const Error& e) {
-    const ErrCode c = e.code() == ErrCode::kOk ? ErrCode::kInternal : e.code();
-    return Status::error(c, e.what());
-  } catch (const std::exception& e) {
-    // A missing/corrupt model file must be a typed status, not a crash.
-    return Status::error(ErrCode::kInternal, e.what());
+    if (base != "ae-sz")
+      return CodecRegistry::instance().create(
+          (parallel ? "parallel:" : "") + base, rank);
+    // Every AE-SZ instance — served directly or a parallel:AE-SZ worker —
+    // comes through this maker, so ae_model_loads counts true model
+    // constructions wherever they happen.
+    auto make_aesz = [this](int r) -> std::unique_ptr<Compressor> {
+      std::unique_ptr<Compressor> c;
+      if (!opt_.aesz_model.empty()) {
+        // Warm trained-model path: instances come from the server's
+        // model file instead of the registry's fixed-seed default.
+        auto a = std::make_unique<AESZ>(
+            model_zoo::options_for(opt_.aesz_field), /*seed=*/1);
+        a->load_model(opt_.aesz_model);
+        c = std::move(a);
+      } else {
+        auto created = CodecRegistry::instance().create("ae-sz", r);
+        if (!created.ok())
+          throw Error(created.status().code, created.status().message);
+        c = std::move(created).value();
+      }
+      counters_.ae_model_loads.inc();
+      return c;
+    };
+    if (!parallel) return make_aesz(rank);
+    // The wrapper keeps its workers warm, so the cached parallel:AE-SZ
+    // loads each worker's model once, not once per request.
+    return std::unique_ptr<Compressor>(
+        std::make_unique<pipeline::ParallelCompressor>(
+            pipeline::ParallelCompressor::Options{base, 0, 0}, rank,
+            make_aesz));
+  } catch (const std::exception&) {
+    return caught_status();
   }
 }
 
 Expected<Server::CachedCodec> Server::codec_for(const std::string& name,
                                                 int rank) {
-  // Canonicalize before building the cache key so every spelling of the
-  // same codec ("AE-SZ", "AESZ", "parallel:aesz", ...) lands on ONE slot
-  // — mixed spellings must not double-load a model.
-  std::string base = lower(name);
-  const bool parallel = strip_parallel(base);
-  if (is_aesz_name(base)) base = "ae-sz";
-  const std::string key =
-      (parallel ? "parallel:" : "") + base + "#" + std::to_string(rank);
+  const CodecName c = canonical(name);
+  const std::string key = c.key(rank);
 
   std::shared_ptr<CacheEntry> entry;
   {
@@ -340,7 +278,7 @@ Expected<Server::CachedCodec> Server::codec_for(const std::string& name,
   // even during a seconds-long model load.
   std::unique_lock<std::mutex> entry_lock(entry->mu);
   if (!entry->codec) {
-    auto built = build_codec(base, parallel, rank);
+    auto built = build_codec(c.base, c.parallel, rank);
     if (!built.ok()) {
       entry_lock.unlock();
       // Drop the empty slot so hostile unknown codec names cannot grow
@@ -365,59 +303,73 @@ std::vector<std::uint8_t> Server::error_frame(ErrCode code,
   return encode_error_response({code, std::move(message)});
 }
 
-std::vector<std::uint8_t> Server::handle_compress(
+std::vector<std::uint8_t> Server::error_frame(const Status& status) {
+  return error_frame(status.code, status.message);
+}
+
+Expected<Server::PreparedCompress> Server::prepare_compress(
     std::span<const std::uint8_t> frame) {
   auto req = parse_compress_request(frame);
-  if (!req.ok())
-    return error_frame(req.status().code, req.status().message);
-  std::vector<float> values(req->dims.total());
-  std::memcpy(values.data(), req->field.data(), req->field.size());
-  const Field f(req->dims, std::move(values));
+  if (!req.ok()) return req.status();
   auto entry = codec_for(req->codec, req->dims.rank);
-  if (!entry.ok())
-    return error_frame(entry.status().code, entry.status().message);
-  std::vector<std::uint8_t> stream;
+  if (!entry.ok()) return entry.status();
   {
     std::lock_guard<std::mutex> lock(*entry->mu);
     if (!entry->codec->supports_rank(req->dims.rank))
-      return error_frame(ErrCode::kUnsupported,
-                         req->codec + " does not support rank-" +
-                             std::to_string(req->dims.rank) + " fields");
-    stream = entry->codec->compress(f, req->eb);
+      return Status::error(ErrCode::kUnsupported,
+                           req->codec + " does not support rank-" +
+                               std::to_string(req->dims.rank) + " fields");
   }
+  return PreparedCompress{field_from_blob(req->dims, req->field), req->eb,
+                          std::move(*entry)};
+}
+
+std::vector<std::uint8_t> Server::PreparedCompress::answer(
+    std::span<const std::uint8_t> stream) const {
   // Report the bound the encoder resolved and enforced — the same
   // resolution sz::resolve_abs_eb applies on the compress side.
-  const double abs_eb = req->eb.absolute(f.value_range());
-  return encode_compress_response({abs_eb, stream});
+  return encode_compress_response({eb.absolute(field.value_range()), stream});
+}
+
+std::vector<std::uint8_t> Server::handle_compress(
+    std::span<const std::uint8_t> frame) {
+  auto p = prepare_compress(frame);
+  if (!p.ok()) return error_frame(p.status());
+  std::vector<std::uint8_t> stream;
+  {
+    std::lock_guard<std::mutex> lock(*p->entry.mu);
+    stream = p->entry.codec->compress(p->field, p->eb);
+  }
+  return p->answer(stream);
 }
 
 std::vector<std::uint8_t> Server::handle_decompress(
     std::span<const std::uint8_t> frame) {
   auto req = parse_decompress_request(frame);
-  if (!req.ok())
-    return error_frame(req.status().code, req.status().message);
+  if (!req.ok()) return error_frame(req.status());
+  // A temporal artifact holds many timesteps, not one field; no codec
+  // decodes it, so refuse before any cache lookup.
+  if (const auto pre = format::peek(req->stream);
+      pre.ok() && pre->magic == format::kAetc.magic)
+    return error_frame(
+        ErrCode::kUnsupported,
+        "AETC temporal artifacts do not decode through decompress; read "
+        "their timesteps with temporal::TemporalReader, or with "
+        "read-timestep while the stream session is open");
   std::string codec_name = req->codec;
   if (codec_name.empty()) {
     auto identified = CodecRegistry::instance().identify(req->stream);
-    if (!identified.ok())
-      return error_frame(identified.status().code,
-                         identified.status().message);
+    if (!identified.ok()) return error_frame(identified.status());
     codec_name = *identified;
   }
   auto entry = codec_for(codec_name, stream_rank(req->stream));
-  if (!entry.ok())
-    return error_frame(entry.status().code, entry.status().message);
+  if (!entry.ok()) return error_frame(entry.status());
   Expected<Field> result = [&] {
     std::lock_guard<std::mutex> lock(*entry->mu);
     return entry->codec->decompress(req->stream);
   }();
-  if (!result.ok())
-    return error_frame(result.status().code, result.status().message);
-  const auto floats = result->values();
-  return encode_decompress_response(
-      {result->dims(),
-       {reinterpret_cast<const std::uint8_t*>(floats.data()),
-        floats.size() * sizeof(float)}});
+  if (!result.ok()) return error_frame(result.status());
+  return encode_decompress_response({result->dims(), field_blob(*result)});
 }
 
 std::vector<std::uint8_t> Server::handle_list_codecs() {
@@ -439,6 +391,20 @@ std::shared_ptr<Server::StreamSession> Server::find_session(
   std::lock_guard<std::mutex> lock(sessions_mu_);
   auto it = sessions_.find(id);
   return it == sessions_.end() ? nullptr : it->second;
+}
+
+Expected<Server::LockedSession> Server::lock_session(std::uint64_t id) {
+  if (auto* t = obs::current_trace()) t->session_id = id;
+  auto s = find_session(id);
+  if (!s)
+    return Status::error(ErrCode::kNoSession,
+                         "no stream session " + std::to_string(id));
+  std::unique_lock<std::mutex> lock(s->mu);
+  if (s->closed)
+    return Status::error(ErrCode::kNoSession, "stream session " +
+                                                  std::to_string(id) +
+                                                  " is closed");
+  return LockedSession{std::move(s), std::move(lock)};
 }
 
 std::size_t Server::reap_idle_sessions() {
@@ -472,8 +438,7 @@ std::size_t Server::reap_idle_sessions() {
 std::vector<std::uint8_t> Server::handle_open_stream(
     std::span<const std::uint8_t> frame) {
   auto req = parse_open_stream_request(frame);
-  if (!req.ok())
-    return error_frame(req.status().code, req.status().message);
+  if (!req.ok()) return error_frame(req.status());
   reap_idle_sessions();
   const auto overloaded = [&] {
     return error_frame(ErrCode::kOverloaded,
@@ -495,10 +460,8 @@ std::vector<std::uint8_t> Server::handle_open_stream(
   // rides the trained-model path and ticks ae_model_loads.
   wopt.factory = [this](const std::string& name,
                         int rank) -> std::unique_ptr<Compressor> {
-    std::string base = lower(name);
-    const bool parallel = strip_parallel(base);
-    if (is_aesz_name(base)) base = "ae-sz";
-    auto built = build_codec(base, parallel, rank);
+    const CodecName c = canonical(name);
+    auto built = build_codec(c.base, c.parallel, rank);
     if (!built.ok())
       throw Error(built.status().code, built.status().message);
     return std::move(built).value();
@@ -525,28 +488,18 @@ std::vector<std::uint8_t> Server::handle_open_stream(
 std::vector<std::uint8_t> Server::handle_append_timestep(
     std::span<const std::uint8_t> frame) {
   auto req = parse_append_timestep_request(frame);
-  if (!req.ok())
-    return error_frame(req.status().code, req.status().message);
-  if (auto* t = obs::current_trace()) t->session_id = req->session_id;
-  auto s = find_session(req->session_id);
-  if (!s)
-    return error_frame(ErrCode::kNoSession,
-                       "no stream session " + std::to_string(req->session_id));
-  std::lock_guard<std::mutex> lock(s->mu);
-  if (s->closed)
-    return error_frame(ErrCode::kNoSession,
-                       "stream session " + std::to_string(req->session_id) +
-                           " is closed");
+  if (!req.ok()) return error_frame(req.status());
+  auto locked = lock_session(req->session_id);
+  if (!locked.ok()) return error_frame(locked.status());
+  StreamSession* s = locked->session.get();
   const std::size_t want = s->writer->dims().total() * sizeof(float);
   if (req->field.size() != want)
     return error_frame(ErrCode::kInvalidArgument,
                        "field is " + std::to_string(req->field.size()) +
                            " bytes; session dims need " +
                            std::to_string(want));
-  std::vector<float> values(s->writer->dims().total());
-  std::memcpy(values.data(), req->field.data(), req->field.size());
-  const auto res = s->writer->append(Field(s->writer->dims(),
-                                           std::move(values)));
+  const auto res =
+      s->writer->append(field_from_blob(s->writer->dims(), req->field));
   s->last_used = std::chrono::steady_clock::now();
   counters_.session_timesteps_stored.inc();
   return encode_append_timestep_response(
@@ -557,44 +510,23 @@ std::vector<std::uint8_t> Server::handle_append_timestep(
 std::vector<std::uint8_t> Server::handle_read_timestep(
     std::span<const std::uint8_t> frame) {
   auto req = parse_read_timestep_request(frame);
-  if (!req.ok())
-    return error_frame(req.status().code, req.status().message);
-  if (auto* t = obs::current_trace()) t->session_id = req->session_id;
-  auto s = find_session(req->session_id);
-  if (!s)
-    return error_frame(ErrCode::kNoSession,
-                       "no stream session " + std::to_string(req->session_id));
-  std::lock_guard<std::mutex> lock(s->mu);
-  if (s->closed)
-    return error_frame(ErrCode::kNoSession,
-                       "stream session " + std::to_string(req->session_id) +
-                           " is closed");
+  if (!req.ok()) return error_frame(req.status());
+  auto locked = lock_session(req->session_id);
+  if (!locked.ok()) return error_frame(locked.status());
+  StreamSession* s = locked->session.get();
   auto field = s->writer->read(static_cast<std::size_t>(req->timestep));
-  if (!field.ok())
-    return error_frame(field.status().code, field.status().message);
+  if (!field.ok()) return error_frame(field.status());
   s->last_used = std::chrono::steady_clock::now();
-  const auto floats = field->values();
-  return encode_read_timestep_response(
-      {field->dims(),
-       {reinterpret_cast<const std::uint8_t*>(floats.data()),
-        floats.size() * sizeof(float)}});
+  return encode_read_timestep_response({field->dims(), field_blob(*field)});
 }
 
 std::vector<std::uint8_t> Server::handle_close_stream(
     std::span<const std::uint8_t> frame) {
   auto req = parse_close_stream_request(frame);
-  if (!req.ok())
-    return error_frame(req.status().code, req.status().message);
-  if (auto* t = obs::current_trace()) t->session_id = req->session_id;
-  auto s = find_session(req->session_id);
-  if (!s)
-    return error_frame(ErrCode::kNoSession,
-                       "no stream session " + std::to_string(req->session_id));
-  std::lock_guard<std::mutex> lock(s->mu);
-  if (s->closed)
-    return error_frame(ErrCode::kNoSession,
-                       "stream session " + std::to_string(req->session_id) +
-                           " is closed");
+  if (!req.ok()) return error_frame(req.status());
+  auto locked = lock_session(req->session_id);
+  if (!locked.ok()) return error_frame(locked.status());
+  StreamSession* s = locked->session.get();
   const auto artifact = s->writer->bytes();
   if (artifact.size() + 64 > kMaxFrameBytes) {
     // Refusing to close would strand the data the client streamed in, so
@@ -620,8 +552,7 @@ std::vector<std::uint8_t> Server::handle_close_stream(
 std::vector<std::uint8_t> Server::handle_read_partial(
     std::span<const std::uint8_t> frame) {
   auto req = parse_read_partial_request(frame);
-  if (!req.ok())
-    return error_frame(req.status().code, req.status().message);
+  if (!req.ok()) return error_frame(req.status());
   // Pure layer-table math — no codec is built and nothing is decoded. The
   // answer is a PREFIX of the client's own bytes, itself a valid AEPR
   // stream (truncation at exact layer boundaries parses by design), so
@@ -631,7 +562,7 @@ std::vector<std::uint8_t> Server::handle_read_partial(
           ? progressive::truncate_to_bytes(
                 req->stream, static_cast<std::size_t>(req->budget))
           : progressive::truncate_to_bound(req->stream, req->bound);
-  if (!cut.ok()) return error_frame(cut.status().code, cut.status().message);
+  if (!cut.ok()) return error_frame(cut.status());
   hists_.progressive_bytes_served.observe(cut->bytes);
   hists_.progressive_layers_served.observe(cut->layers);
   return encode_read_partial_response({cut->abs_eb, cut->layers,
@@ -703,7 +634,7 @@ std::vector<std::uint8_t> Server::handle_metrics() {
 std::vector<std::uint8_t> Server::handle_deadline(
     std::span<const std::uint8_t> frame) {
   const auto req = parse_deadline_request(frame);
-  if (!req.ok()) return error_frame(req.status().code, req.status().message);
+  if (!req.ok()) return error_frame(req.status());
   if (req->deadline_ms > 0) {
     // The budget bounds queue wait, checked once at execution start: a
     // request that got a worker in time runs to completion (killing work
@@ -724,8 +655,7 @@ std::vector<std::uint8_t> Server::handle_deadline(
     hists_.deadline_slack_ms.observe(req->deadline_ms - waited_ms);
   }
   const auto inner_op = peek_op(req->inner);
-  if (!inner_op.ok())
-    return error_frame(inner_op.status().code, inner_op.status().message);
+  if (!inner_op.ok()) return error_frame(inner_op.status());
   // Re-dispatch stamps the trace with the INNER op — the envelope is
   // plumbing, the inner request is what latency should be billed to.
   return dispatch(*inner_op, req->inner);
@@ -841,46 +771,21 @@ std::vector<std::uint8_t> Server::dispatch(
   }
 }
 
-std::vector<std::uint8_t> Server::handle_frame(
-    std::span<const std::uint8_t> frame) {
-  // A submit() wrapper may already have installed this thread's trace
-  // (stamped with admission time and connection identity); a direct
-  // synchronous call owns a local one and finalizes it on exit.
-  obs::RequestTrace local;
-  obs::RequestTrace* t = obs::current_trace();
-  const bool own = t == nullptr;
-  std::optional<obs::TraceScope> scope;
-  if (own) {
-    local.id = obs::next_request_id();
-    t = &local;
-    scope.emplace(t);
-  }
-  t->exec_start_ns = obs::monotonic_ns();
-  // Computed here, not at dequeue, so queue_wait + exec == wall exactly.
-  if (t->admit_ns && t->exec_start_ns > t->admit_ns)
-    t->queue_wait_ns = t->exec_start_ns - t->admit_ns;
-  t->bytes_in = frame.size();
+void Server::begin_request(obs::RequestTrace& t, std::size_t bytes_in,
+                           std::uint64_t start_ns, bool batched) {
   counters_.requests.inc();
-  counters_.bytes_in.inc(frame.size());
-  std::vector<std::uint8_t> response;
-  const auto op = peek_op(frame);
-  if (!op.ok()) {
-    response = error_frame(op.status().code, op.status().message);
-  } else {
-    try {
-      response = dispatch(*op, frame);
-    } catch (const Error& e) {
-      // Same folding as Compressor::decompress: an untyped internal throw
-      // during request handling is attributed to the request.
-      const ErrCode c =
-          e.code() == ErrCode::kOk ? ErrCode::kInternal : e.code();
-      response = error_frame(c, e.what());
-    } catch (const std::exception& e) {
-      // Hostile sizes can surface as bad_alloc/length_error; a request
-      // must never take the server down.
-      response = error_frame(ErrCode::kInternal, e.what());
-    }
-  }
+  counters_.bytes_in.inc(bytes_in);
+  t.bytes_in = bytes_in;
+  t.exec_start_ns = start_ns;
+  // Computed here, not at dequeue, so wait + exec == wall exactly. A
+  // batched request spent its whole wait coalescing with the batcher, so
+  // it bills batch_wait (queue_wait stays 0 — the two never overlap).
+  if (t.admit_ns && start_ns > t.admit_ns)
+    (batched ? t.batch_wait_ns : t.queue_wait_ns) = start_ns - t.admit_ns;
+}
+
+std::vector<std::uint8_t> Server::seal(obs::RequestTrace& t,
+                                       std::vector<std::uint8_t> response) {
   if (response.size() > kMaxFrameBytes) {
     // e.g. a sub-cap compressed stream that decodes past the frame cap.
     // The peer's transport would refuse its length prefix as a framing
@@ -892,118 +797,117 @@ std::vector<std::uint8_t> Server::handle_frame(
             " bytes) exceeds the frame limit; request a smaller field");
   }
   counters_.bytes_out.inc(response.size());
-  t->bytes_out = response.size();
-  t->exec_end_ns = obs::monotonic_ns();
+  t.bytes_out = response.size();
+  if (auto op = peek_op(response); op.ok() && *op == Op::kErrorResponse)
+    t.error = true;
+  t.exec_end_ns = obs::monotonic_ns();
+  return response;
+}
+
+std::vector<std::uint8_t> Server::handle_frame(
+    std::span<const std::uint8_t> frame) {
+  // A submit() task may already have installed this thread's trace
+  // (stamped with admission time and connection identity); a direct
+  // synchronous call owns a local one and finalizes it on exit.
+  obs::RequestTrace local;
+  obs::RequestTrace* t = obs::current_trace();
+  const bool own = t == nullptr;
+  std::optional<obs::TraceScope> scope;
+  if (own) {
+    local.id = obs::next_request_id();
+    t = &local;
+    scope.emplace(t);
+  }
+  begin_request(*t, frame.size(), obs::monotonic_ns(), /*batched=*/false);
+  std::vector<std::uint8_t> response;
+  try {
+    const auto op = peek_op(frame);
+    response = op.ok() ? dispatch(*op, frame) : error_frame(op.status());
+  } catch (const std::exception&) {
+    response = error_frame(caught_status());
+  }
+  response = seal(*t, std::move(response));
   if (own) finish_trace(*t);
   return response;
 }
 
 void Server::submit(std::vector<std::uint8_t> frame, DoneFn done,
                     std::uint64_t conn_id) {
+  obs::RequestTrace t;
+  t.id = obs::next_request_id();
+  t.conn_id = conn_id;
+  t.admit_ns = obs::monotonic_ns();
+  // Route: session ticket, batch, or direct. A deadline envelope is
+  // classified by its INNER frame for the ticket, so an enveloped append
+  // still takes its arrival-order ticket (the view aliases `frame`, which
+  // outlives classification), but by its OUTER frame for batching, so an
+  // enveloped compress takes the direct route, where the deadline check
+  // runs before any work.
+  const auto outer = peek_op(frame);
+  std::span<const std::uint8_t> body(frame);
+  if (outer.ok() && *outer == Op::kDeadlineRequest)
+    if (auto env = parse_deadline_request(frame); env.ok()) body = env->inner;
   // Session-scoped ops (append/read/close) are ticketed: the ticket is
-  // taken HERE, in arrival order, and the pool task waits its turn before
+  // taken HERE, in arrival order, and the task waits its turn before
   // running — so a client that pipelines appends without waiting for
   // responses still gets timesteps stored in the order it sent them, even
   // though pool workers complete out of order. Deadlock-free because the
   // ThreadPool is FIFO: a session's lowest unfinished ticket was enqueued
   // before every task that could be waiting on it, so it is always
-  // running or done — never parked behind a waiter.
-  // A deadline envelope is classified by its INNER frame, so an enveloped
-  // append still takes its arrival-order ticket (the view aliases `frame`,
-  // which outlives classification). Batching below deliberately keeps
-  // looking at the outer frame: enveloped compress requests take the
-  // direct path, where the deadline check runs before any work.
-  std::span<const std::uint8_t> body(frame);
-  if (auto op0 = peek_op(frame); op0.ok() && *op0 == Op::kDeadlineRequest)
-    if (auto env = parse_deadline_request(frame); env.ok()) body = env->inner;
-  if (auto op = peek_op(body);
-      op.ok() && (*op == Op::kAppendTimestepRequest ||
-                  *op == Op::kReadTimestepRequest ||
-                  *op == Op::kCloseStreamRequest)) {
-    if (auto sid = peek_session_id(body); sid.ok()) {
-      if (auto s = find_session(*sid)) {
-        std::uint64_t ticket = 0;
+  // running or done — never parked behind a waiter. An unknown session or
+  // malformed body gets no ticket: handle_frame() answers the typed
+  // kNoSession/parse error itself.
+  std::shared_ptr<StreamSession> session;
+  std::uint64_t ticket = 0;
+  if (auto sid = peek_session_id(body);
+      sid.ok() && (session = find_session(*sid))) {
+    std::lock_guard<std::mutex> lock(session->mu);
+    ticket = session->next_ticket++;
+    t.session_id = *sid;
+  } else if (opt_.max_batch > 1 && outer.ok() &&
+             *outer == Op::kCompressRequest) {
+    // Batchable = a well-formed compress request for plain (non-parallel)
+    // AE-SZ. Anything else takes the direct route, where handle_frame()
+    // re-derives the classification and answers (or types the error).
+    if (auto req = parse_compress_request(frame); req.ok()) {
+      const CodecName c = canonical(req->codec);
+      if (!c.parallel && c.base == "ae-sz") {
+        std::string key = c.key(req->dims.rank);
         {
-          std::lock_guard<std::mutex> lock(s->mu);
-          ticket = s->next_ticket++;
+          std::lock_guard<std::mutex> lock(batch_mu_);
+          batch_queue_.push_back(BatchJob{std::move(frame), std::move(key),
+                                          std::move(done), t});
         }
-        obs::RequestTrace t;
-        t.id = obs::next_request_id();
-        t.conn_id = conn_id;
-        t.session_id = *sid;
-        t.admit_ns = obs::monotonic_ns();
-        pool_->submit([this, s, ticket, t, f = std::move(frame),
-                       cb = std::move(done)]() mutable {
-          std::vector<std::uint8_t> response;
-          {
-            // The scope covers the ticket wait too: that wait is part of
-            // this request's queue time, not its execution time.
-            obs::TraceScope scope(&t);
-            {
-              std::unique_lock<std::mutex> lock(s->mu);
-              s->cv.wait(lock, [&] { return s->done_ticket == ticket; });
-            }
-            response = handle_frame(f);
-          }
-          {
-            std::lock_guard<std::mutex> lock(s->mu);
-            // Advance unconditionally — later tickets must progress even
-            // when this op closed the session or answered an error.
-            ++s->done_ticket;
-          }
-          s->cv.notify_all();
-          finish_trace(t);
-          cb(std::move(response));
-        });
+        batch_cv_.notify_one();
         return;
       }
     }
-    // Unknown session or malformed body: plain pool path below, where
-    // handle_frame() produces the typed kNoSession/parse error itself.
   }
-  // Batchable = a well-formed compress request for plain (non-parallel)
-  // AE-SZ. Anything else — other codecs, other opcodes, malformed frames —
-  // takes the direct pool path, where handle_frame() re-derives the same
-  // classification and produces the response (or typed error) itself.
-  bool batchable = false;
-  std::string key;
-  if (opt_.max_batch > 1) {
-    if (auto op = peek_op(frame); op.ok() && *op == Op::kCompressRequest) {
-      if (auto req = parse_compress_request(frame); req.ok()) {
-        std::string base = lower(req->codec);
-        const bool parallel = strip_parallel(base);
-        if (is_aesz_name(base)) base = "ae-sz";
-        if (!parallel && base == "ae-sz") {
-          batchable = true;
-          key = base + "#" + std::to_string(req->dims.rank);
-        }
+  pool_->submit([this, session, ticket, t, f = std::move(frame),
+                 cb = std::move(done)]() mutable {
+    std::vector<std::uint8_t> response;
+    {
+      // The scope covers the ticket wait too: that wait is part of this
+      // request's queue time, not its execution time.
+      obs::TraceScope scope(&t);
+      if (session) {
+        std::unique_lock<std::mutex> lock(session->mu);
+        session->cv.wait(lock, [&] { return session->done_ticket == ticket; });
       }
+      response = handle_frame(f);
     }
-  }
-  if (!batchable) {
-    obs::RequestTrace t;
-    t.id = obs::next_request_id();
-    t.conn_id = conn_id;
-    t.admit_ns = obs::monotonic_ns();
-    pool_->submit(
-        [this, t, f = std::move(frame), cb = std::move(done)]() mutable {
-          std::vector<std::uint8_t> response;
-          {
-            obs::TraceScope scope(&t);
-            response = handle_frame(f);
-          }
-          finish_trace(t);
-          cb(std::move(response));
-        });
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(batch_mu_);
-    batch_queue_.push_back(BatchJob{std::move(frame), std::move(key),
-                                    std::move(done), obs::next_request_id(),
-                                    obs::monotonic_ns(), conn_id});
-  }
-  batch_cv_.notify_one();
+    if (session) {
+      {
+        std::lock_guard<std::mutex> lock(session->mu);
+        // Advance unconditionally — later tickets must progress even
+        // when this op closed the session or answered an error.
+        ++session->done_ticket;
+      }
+      session->cv.notify_all();
+    }
+    finish_trace(t);
+    cb(std::move(response));
+  });
 }
 
 void Server::batcher_main() {
@@ -1058,145 +962,83 @@ void Server::batcher_main() {
 
 void Server::run_batch(std::vector<BatchJob>& jobs) {
   // One synthetic group trace owns the execution span and the codec stage
-  // time (the stages ran ONCE for the whole group); each member job gets
-  // its own trace carrying its admission identity, coalesce wait, bytes,
-  // and per-request latency, with exec = the shared group span.
+  // time (the stages ran ONCE for the whole group); each member keeps its
+  // own admission trace carrying its coalesce wait, bytes, and
+  // per-request latency, with exec = the shared group span.
   // finish_trace(group, false) keeps the synthetic trace out of the
-  // per-request histograms — its members were already observed.
+  // per-request histograms — its members are observed individually.
   obs::RequestTrace group;
   group.id = obs::next_request_id();
   group.op = "compress-batch";
   group.exec_start_ns = obs::monotonic_ns();
   obs::TraceScope scope(&group);
-  const auto finish_group = [&] {
-    group.exec_end_ns = obs::monotonic_ns();
-    finish_trace(group, /*count_request=*/false);
-  };
 
   counters_.batch_executions.inc();
   counters_.batched_requests.inc(jobs.size());
   hists_.batch_size.observe(jobs.size());
 
-  // Completion mirrors handle_frame()'s tail: oversize responses become
-  // typed errors, bytes_out counts what actually leaves.
-  const auto finish = [this, &group](BatchJob& job,
-                                     std::vector<std::uint8_t> response) {
-    if (response.size() > kMaxFrameBytes)
-      response = error_frame(
-          ErrCode::kUnsupported,
-          "response (" + std::to_string(response.size()) +
-              " bytes) exceeds the frame limit; request a smaller field");
-    counters_.bytes_out.inc(response.size());
-    obs::RequestTrace t;
-    t.id = job.id;
-    t.op = op_name(Op::kCompressRequest);
-    t.op_raw = static_cast<std::uint8_t>(Op::kCompressRequest);
-    t.conn_id = job.conn_id;
-    t.admit_ns = job.admit_ns;
-    t.exec_start_ns = group.exec_start_ns;
-    t.exec_end_ns = obs::monotonic_ns();
-    // The whole admission-to-execution wait was spent coalescing with the
-    // batcher, so it bills as batch_wait (queue_wait stays 0 — the two
-    // never overlap on one request).
-    if (t.admit_ns && t.exec_start_ns > t.admit_ns)
-      t.batch_wait_ns = t.exec_start_ns - t.admit_ns;
-    t.bytes_in = job.frame.size();
-    t.bytes_out = response.size();
-    if (auto op = peek_op(response); op.ok() && *op == Op::kErrorResponse)
-      t.error = true;
-    finish_trace(t);
+  // Members are begun, prepared, answered and sealed exactly like a solo
+  // compress through handle_frame(), so coalescing is invisible in the
+  // per-request counters; only the codec call is shared.
+  const auto finish = [this](BatchJob& job,
+                             std::vector<std::uint8_t> response) {
+    response = seal(job.trace, std::move(response));
+    finish_trace(job.trace);
     job.done(std::move(response));
   };
-
-  struct Live {
-    BatchJob* job;
-    Field field;
-    ErrorBound eb;
-    std::string codec_name;
-    int rank;
-    CachedCodec entry;
-  };
-  std::vector<Live> live;
-  live.reserve(jobs.size());
+  std::vector<BatchJob*> members;
+  std::vector<PreparedCompress> live;
   for (auto& job : jobs) {
-    // Same per-request accounting as the solo path (handle_frame +
-    // dispatch): one requests/bytes_in/compress_requests tick each, one
-    // codec_for hit-or-miss each — coalescing is invisible in these
-    // counters.
-    counters_.requests.inc();
-    counters_.bytes_in.inc(job.frame.size());
+    job.trace.op = op_name(Op::kCompressRequest);
+    job.trace.op_raw = static_cast<std::uint8_t>(Op::kCompressRequest);
+    begin_request(job.trace, job.frame.size(), group.exec_start_ns,
+                  /*batched=*/true);
     counters_.compress_requests.inc();
-    auto req = parse_compress_request(job.frame);
-    if (!req.ok()) {  // raced mutation cannot happen (frame is owned), but
-                      // keep the typed-error discipline anyway
-      finish(job, error_frame(req.status().code, req.status().message));
+    auto p = prepare_compress(job.frame);
+    if (!p.ok()) {
+      finish(job, error_frame(p.status()));
       continue;
     }
-    auto entry = codec_for(req->codec, req->dims.rank);
-    if (!entry.ok()) {
-      finish(job, error_frame(entry.status().code, entry.status().message));
-      continue;
-    }
-    std::vector<float> values(req->dims.total());
-    std::memcpy(values.data(), req->field.data(), req->field.size());
-    live.push_back(Live{&job, Field(req->dims, std::move(values)), req->eb,
-                        req->codec, req->dims.rank, std::move(*entry)});
+    members.push_back(&job);
+    live.push_back(std::move(*p));
   }
-  if (live.empty()) {
-    finish_group();
-    return;
-  }
-
-  // One canonical key per group — every live job shares one instance and
-  // one per-instance mutex.
-  std::lock_guard<std::mutex> lock(*live.front().entry.mu);
-  Compressor* codec = live.front().entry.codec.get();
-  if (!codec->supports_rank(live.front().rank)) {
-    for (Live& l : live)
-      finish(*l.job, error_frame(ErrCode::kUnsupported,
-                                 l.codec_name + " does not support rank-" +
-                                     std::to_string(l.rank) + " fields"));
-    finish_group();
-    return;
-  }
-
-  std::vector<std::vector<std::uint8_t>> streams(live.size());
-  bool batched = false;
-  if (live.size() > 1) {
-    if (auto* bc = dynamic_cast<BatchCompressor*>(codec)) {
+  if (!live.empty()) {
+    // One canonical key per group — every live member shares one instance
+    // and one per-instance mutex.
+    std::lock_guard<std::mutex> lock(*live.front().entry.mu);
+    Compressor& codec = *live.front().entry.codec;
+    std::vector<std::vector<std::uint8_t>> streams;
+    auto* bc = dynamic_cast<BatchCompressor*>(&codec);
+    if (bc && live.size() > 1) {
       std::vector<const Field*> fields;
       std::vector<ErrorBound> ebs;
-      fields.reserve(live.size());
-      ebs.reserve(live.size());
-      for (Live& l : live) {
-        fields.push_back(&l.field);
-        ebs.push_back(l.eb);
+      for (const PreparedCompress& p : live) {
+        fields.push_back(&p.field);
+        ebs.push_back(p.eb);
       }
       try {
         streams = bc->compress_batch(fields, ebs);
-        batched = streams.size() == live.size();
       } catch (...) {
         // One bad field fails a whole compress_batch call; redo the group
         // solo below so each request gets its own success or typed error.
-        batched = false;
+        streams.clear();
       }
     }
-  }
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    Live& l = live[i];
-    try {
-      if (!batched) streams[i] = codec->compress(l.field, l.eb);
-      const double abs_eb = l.eb.absolute(l.field.value_range());
-      finish(*l.job, encode_compress_response({abs_eb, streams[i]}));
-    } catch (const Error& e) {
-      const ErrCode c =
-          e.code() == ErrCode::kOk ? ErrCode::kInternal : e.code();
-      finish(*l.job, error_frame(c, e.what()));
-    } catch (const std::exception& e) {
-      finish(*l.job, error_frame(ErrCode::kInternal, e.what()));
+    const bool batched = streams.size() == live.size();
+    if (!batched) streams.assign(live.size(), {});
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      std::vector<std::uint8_t> response;
+      try {
+        if (!batched) streams[i] = codec.compress(live[i].field, live[i].eb);
+        response = live[i].answer(streams[i]);
+      } catch (const std::exception&) {
+        response = error_frame(caught_status());
+      }
+      finish(*members[i], std::move(response));
     }
   }
-  finish_group();
+  group.exec_end_ns = obs::monotonic_ns();
+  finish_trace(group, /*count_request=*/false);
 }
 
 }  // namespace aesz::service

@@ -30,15 +30,20 @@ namespace aesz::service {
 /// IS the warm-model cache: the AE network is built (or loaded from a
 /// trained model file) exactly once and reused by every later request,
 /// observable through the `ae_model_loads` stats counter. `parallel:AE-SZ`
-/// shares that warmth too: its pipeline workers draw inner instances from
-/// a pooled factory, so repeated parallel requests reuse the same loaded
-/// models instead of rebuilding one per worker per request.
+/// shares that warmth too: the cached ParallelCompressor keeps its workers'
+/// inner instances across calls (built through the same AE-SZ maker), so
+/// repeated parallel requests reuse the same loaded models instead of
+/// rebuilding one per worker per request.
 ///
-/// Request scheduling: submit() is the async entry point. Most requests go
-/// straight to the ThreadPool; AE-SZ compress requests are routed through
-/// the batching scheduler, which coalesces up to Options::max_batch queued
-/// requests for the same (codec, rank) into ONE AESZ::compress_batch()
-/// call so their per-block network inference shares forward passes.
+/// Request path: submit() is the async entry point. It stamps one
+/// admission trace and picks a route — session ops wait for their
+/// arrival-order ticket, plain AE-SZ compress requests go to the batching
+/// scheduler, everything else runs directly — and every route ends in the
+/// same per-request steps: begin (counters, wait), the handler, seal
+/// (frame-limit guard, bytes_out, trace bytes/error). The batching
+/// scheduler coalesces up to Options::max_batch queued requests for the
+/// same (codec, rank) into ONE AESZ::compress_batch() call so their
+/// per-block network inference shares forward passes.
 /// Because batched streams are byte-identical to solo streams (see
 /// BatchCompressor), coalescing is invisible to clients except as
 /// throughput. The EventServer front end (event_loop.hpp) pipelines
@@ -150,16 +155,26 @@ class Server {
   };
 
   /// A compress request parked with the batching scheduler. `key` is the
-  /// canonical "codec#rank" the group is formed on; `id`/`admit_ns` are
-  /// the request's trace identity, stamped at admission so the coalesce
-  /// wait is observable per request.
+  /// canonical "codec#rank" the group is formed on; `trace` is the
+  /// request's admission trace, so the coalesce wait is observable per
+  /// request.
   struct BatchJob {
     std::vector<std::uint8_t> frame;
     std::string key;
     DoneFn done;
-    std::uint64_t id = 0;
-    std::uint64_t admit_ns = 0;
-    std::uint64_t conn_id = 0;
+    obs::RequestTrace trace;
+  };
+
+  /// A compress request ready to run: its field copied out of the frame,
+  /// its bound, and the cached codec that serves it (rank already
+  /// checked). The solo handler and the batch path both build one.
+  struct PreparedCompress {
+    Field field;
+    ErrorBound eb;
+    CachedCodec entry;
+    /// The compress response carrying `stream`.
+    std::vector<std::uint8_t> answer(
+        std::span<const std::uint8_t> stream) const;
   };
 
   /// One open stream session: a TemporalWriter plus the serialization
@@ -182,11 +197,21 @@ class Server {
     bool closed = false;
   };
 
+  /// An open session held under its mutex for one op.
+  struct LockedSession {
+    std::shared_ptr<StreamSession> session;
+    std::unique_lock<std::mutex> lock;
+  };
+
   Expected<CachedCodec> codec_for(const std::string& name, int rank);
   Expected<std::unique_ptr<Compressor>> build_codec(const std::string& base,
                                                     bool parallel, int rank);
   std::vector<std::uint8_t> dispatch(Op op,
                                      std::span<const std::uint8_t> frame);
+  /// Parse a compress frame into a PreparedCompress, or the status its
+  /// error frame reports.
+  Expected<PreparedCompress> prepare_compress(
+      std::span<const std::uint8_t> frame);
   std::vector<std::uint8_t> handle_compress(
       std::span<const std::uint8_t> frame);
   std::vector<std::uint8_t> handle_decompress(
@@ -207,7 +232,21 @@ class Server {
       std::span<const std::uint8_t> frame);
   std::vector<std::uint8_t> handle_metrics();
   std::shared_ptr<StreamSession> find_session(std::uint64_t id);
+  /// The open session a session op addresses, locked — or kNoSession when
+  /// it is unknown or closed. Stamps the current trace's session id.
+  Expected<LockedSession> lock_session(std::uint64_t id);
   std::vector<std::uint8_t> error_frame(ErrCode code, std::string message);
+  std::vector<std::uint8_t> error_frame(const Status& status);
+
+  /// Start executing one request at `start_ns`: the per-request counters,
+  /// its bytes_in, and its wait since admission (billed as batch_wait when
+  /// `batched`, else queue_wait).
+  void begin_request(obs::RequestTrace& t, std::size_t bytes_in,
+                     std::uint64_t start_ns, bool batched);
+  /// Finish one request's response: the frame-limit guard, bytes_out, and
+  /// the trace's bytes/error fields and exec end.
+  std::vector<std::uint8_t> seal(obs::RequestTrace& t,
+                                 std::vector<std::uint8_t> response);
 
   void batcher_main();
   void run_batch(std::vector<BatchJob>& jobs);

@@ -2,7 +2,7 @@
 // byte-identical to solo compress for every batch composition (the
 // server's coalescing is then invisible to clients), the server's batching
 // scheduler must coalesce compatible queued requests (and only those), and
-// the parallel:AE-SZ warm pool must stop re-loading models per request.
+// parallel:AE-SZ must stop re-loading models per request.
 
 #include <gtest/gtest.h>
 
@@ -327,10 +327,10 @@ TEST(BatchingScheduler, MixedCodecQueuesDoNotCoalesce) {
   EXPECT_EQ(snap.get("error_responses"), 0u);
 }
 
-// ------------------------------------------------- parallel warm pool ----
+// ------------------------------------------- parallel:AE-SZ warm workers ----
 
 /// parallel:AE-SZ used to rebuild (reload) its inner codecs once per
-/// worker on EVERY request; the warm pool must make repeated requests
+/// worker on EVERY request; its warm workers must make repeated requests
 /// reuse the instances built by the first one.
 TEST(ParallelWarmPool, RepeatedParallelAeszRequestsDoNotReloadModels) {
   svc::Server server;

@@ -81,51 +81,47 @@ struct EventHarness {
 /// the server, exercising incremental reassembly. The resolved bound
 /// echoed in each response proves response-to-request correspondence.
 TEST(EventServerConcurrency, InterleavedPartialWritesReassembleCorrectly) {
-  for (const bool force_poll : {false, true}) {
-    svc::EventServer::Options ev;
-    ev.force_poll = force_poll;
-    EventHarness h(ev);
+  EventHarness h;
 
-    constexpr int kClients = 4, kRequests = 3;
-    const Field f = synth::cesm_freqsh(24, 36, 50);
+  constexpr int kClients = 4, kRequests = 3;
+  const Field f = synth::cesm_freqsh(24, 36, 50);
 
-    std::vector<std::unique_ptr<svc::TcpTransport>> clients;
-    std::vector<std::vector<std::uint8_t>> wire(kClients);
-    std::vector<std::size_t> sent(kClients, 0);
-    for (int c = 0; c < kClients; ++c) {
-      clients.push_back(h.connect());
-      for (int r = 0; r < kRequests; ++r) {
-        const double abs_eb = 1e-3 * (1 + c * kRequests + r);
-        const auto bytes = framed(compress_frame(f, abs_eb, "SZ2.1"));
-        wire[c].insert(wire[c].end(), bytes.begin(), bytes.end());
-      }
+  std::vector<std::unique_ptr<svc::TcpTransport>> clients;
+  std::vector<std::vector<std::uint8_t>> wire(kClients);
+  std::vector<std::size_t> sent(kClients, 0);
+  for (int c = 0; c < kClients; ++c) {
+    clients.push_back(h.connect());
+    for (int r = 0; r < kRequests; ++r) {
+      const double abs_eb = 1e-3 * (1 + c * kRequests + r);
+      const auto bytes = framed(compress_frame(f, abs_eb, "SZ2.1"));
+      wire[c].insert(wire[c].end(), bytes.begin(), bytes.end());
     }
-    // Round-robin single-byte sends: client 0 byte 0, client 1 byte 0, ...
-    for (bool progressed = true; progressed;) {
-      progressed = false;
-      for (int c = 0; c < kClients; ++c) {
-        if (sent[c] >= wire[c].size()) continue;
-        ASSERT_TRUE(
-            clients[c]->send_raw({wire[c].data() + sent[c], 1}).ok());
-        ++sent[c];
-        progressed = true;
-      }
-    }
-    for (int c = 0; c < kClients; ++c) {
-      for (int r = 0; r < kRequests; ++r) {
-        auto response = clients[c]->recv_frame();
-        ASSERT_TRUE(response.ok()) << "client " << c << " response " << r;
-        auto parsed = svc::parse_compress_response(*response);
-        ASSERT_TRUE(parsed.ok()) << "client " << c << " response " << r;
-        EXPECT_DOUBLE_EQ(parsed->abs_eb, 1e-3 * (1 + c * kRequests + r))
-            << "client " << c << " got someone else's response";
-      }
-    }
-    const auto snap = h.server.snapshot();
-    EXPECT_EQ(snap.get("compress_requests"),
-              static_cast<std::uint64_t>(kClients * kRequests));
-    EXPECT_EQ(snap.get("error_responses"), 0u);
   }
+  // Round-robin single-byte sends: client 0 byte 0, client 1 byte 0, ...
+  for (bool progressed = true; progressed;) {
+    progressed = false;
+    for (int c = 0; c < kClients; ++c) {
+      if (sent[c] >= wire[c].size()) continue;
+      ASSERT_TRUE(
+          clients[c]->send_raw({wire[c].data() + sent[c], 1}).ok());
+      ++sent[c];
+      progressed = true;
+    }
+  }
+  for (int c = 0; c < kClients; ++c) {
+    for (int r = 0; r < kRequests; ++r) {
+      auto response = clients[c]->recv_frame();
+      ASSERT_TRUE(response.ok()) << "client " << c << " response " << r;
+      auto parsed = svc::parse_compress_response(*response);
+      ASSERT_TRUE(parsed.ok()) << "client " << c << " response " << r;
+      EXPECT_DOUBLE_EQ(parsed->abs_eb, 1e-3 * (1 + c * kRequests + r))
+          << "client " << c << " got someone else's response";
+    }
+  }
+  const auto snap = h.server.snapshot();
+  EXPECT_EQ(snap.get("compress_requests"),
+            static_cast<std::uint64_t>(kClients * kRequests));
+  EXPECT_EQ(snap.get("error_responses"), 0u);
 }
 
 /// Past the admission cap the server answers immediately with a typed
@@ -295,60 +291,57 @@ struct RawClient {
 /// pins is only observable under ASan). The server must survive the storm
 /// and keep serving.
 TEST(EventServerConcurrency, ResetDuringErrorResponsesDoesNotCorrupt) {
-  for (const bool force_poll : {false, true}) {
-    svc::Server::Options so;
-    so.max_batch = 8;
-    so.batch_delay_us = 400000;  // parks one admitted AE-SZ request
-    svc::EventServer::Options ev;
-    ev.force_poll = force_poll;
-    ev.max_inflight = 1;
-    EventHarness h(ev, so);
+  svc::Server::Options so;
+  so.max_batch = 8;
+  so.batch_delay_us = 400000;  // parks one admitted AE-SZ request
+  svc::EventServer::Options ev;
+  ev.max_inflight = 1;
+  EventHarness h(ev, so);
 
-    // Occupy the single in-flight slot so every stormer frame is answered
-    // synchronously with kOverloaded inside the read pass.
-    auto occupier = h.connect();
-    const Field f = synth::cesm_freqsh(24, 36, 50);
-    ASSERT_TRUE(
-        occupier->send_raw(framed(compress_frame(f, 1e-3, "AE-SZ"))).ok());
+  // Occupy the single in-flight slot so every stormer frame is answered
+  // synchronously with kOverloaded inside the read pass.
+  auto occupier = h.connect();
+  const Field f = synth::cesm_freqsh(24, 36, 50);
+  ASSERT_TRUE(
+      occupier->send_raw(framed(compress_frame(f, 1e-3, "AE-SZ"))).ok());
 
-    std::vector<std::uint8_t> tiny = {1, 0, 0, 0, 0xEE};  // 1-byte frame
-    std::vector<std::uint8_t> burst;
-    for (int i = 0; i < 16; ++i)
-      burst.insert(burst.end(), tiny.begin(), tiny.end());
-    const std::vector<std::uint8_t> hostile = {0xFF, 0xFF, 0xFF, 0xFF};
+  std::vector<std::uint8_t> tiny = {1, 0, 0, 0, 0xEE};  // 1-byte frame
+  std::vector<std::uint8_t> burst;
+  for (int i = 0; i < 16; ++i)
+    burst.insert(burst.end(), tiny.begin(), tiny.end());
+  const std::vector<std::uint8_t> hostile = {0xFF, 0xFF, 0xFF, 0xFF};
 
-    for (int i = 0; i < 40; ++i) {
-      RawClient raw(h.listener->port());
-      if (raw.fd < 0) break;  // ASSERT in ctor already failed the test
-      // Alternate abuse: overload burst vs. oversized length prefix, with
-      // a sliding delay to move the reset around the server's read→send
-      // window.
-      raw.send(i % 2 == 0 ? burst : hostile);
-      if (i % 4 != 0)
-        std::this_thread::sleep_for(std::chrono::microseconds(50 * (i % 4)));
-      raw.rst_close();
-    }
-
-    // The parked request still completes for the well-behaved client...
-    auto response = occupier->recv_frame();
-    ASSERT_TRUE(response.ok());
-    EXPECT_TRUE(svc::parse_compress_response(*response).ok());
-    // A storm that outlasts the occupier's batch park can get one stormer
-    // frame admitted into the single slot; the probe needs that slot back,
-    // so wait (bounded) for every admitted request to be answered. An
-    // ev_inflight that never drains to 0 would be a leak.
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    while (h.server.snapshot().get("ev_inflight") != 0 &&
-           std::chrono::steady_clock::now() < deadline)
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    ASSERT_EQ(h.server.snapshot().get("ev_inflight"), 0u);
-    // ...and a fresh connection round-trips against a healthy server.
-    auto probe = h.connect();
-    svc::Client client(*probe);
-    auto again = client.compress("SZ2.1", f, ErrorBound::Rel(1e-2));
-    ASSERT_TRUE(again.ok());
+  for (int i = 0; i < 40; ++i) {
+    RawClient raw(h.listener->port());
+    if (raw.fd < 0) break;  // ASSERT in ctor already failed the test
+    // Alternate abuse: overload burst vs. oversized length prefix, with
+    // a sliding delay to move the reset around the server's read→send
+    // window.
+    raw.send(i % 2 == 0 ? burst : hostile);
+    if (i % 4 != 0)
+      std::this_thread::sleep_for(std::chrono::microseconds(50 * (i % 4)));
+    raw.rst_close();
   }
+
+  // The parked request still completes for the well-behaved client...
+  auto response = occupier->recv_frame();
+  ASSERT_TRUE(response.ok());
+  EXPECT_TRUE(svc::parse_compress_response(*response).ok());
+  // A storm that outlasts the occupier's batch park can get one stormer
+  // frame admitted into the single slot; the probe needs that slot back,
+  // so wait (bounded) for every admitted request to be answered. An
+  // ev_inflight that never drains to 0 would be a leak.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (h.server.snapshot().get("ev_inflight") != 0 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_EQ(h.server.snapshot().get("ev_inflight"), 0u);
+  // ...and a fresh connection round-trips against a healthy server.
+  auto probe = h.connect();
+  svc::Client client(*probe);
+  auto again = client.compress("SZ2.1", f, ErrorBound::Rel(1e-2));
+  ASSERT_TRUE(again.ok());
 }
 
 /// Tear the front end down while a request is still executing: the client

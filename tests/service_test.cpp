@@ -28,6 +28,7 @@
 #include "service/protocol.hpp"
 #include "service/server.hpp"
 #include "service/transport.hpp"
+#include "temporal/temporal.hpp"
 #include "util/bytestream.hpp"
 
 namespace aesz {
@@ -425,6 +426,34 @@ TEST(Server, CorruptStreamDecompressIsTypedErrorFrame) {
   auto err = svc::parse_error_response(resp);
   ASSERT_TRUE(err.ok());
   EXPECT_EQ(err->code, ErrCode::kBadMagic);
+}
+
+/// An AETC artifact (what close-stream returns) holds timesteps, not one
+/// field: the decompress op refuses it with a message naming the stream
+/// reader, and looks up no codec on the way.
+TEST(Server, DecompressRefusesTemporalArtifactsTowardTheStreamReader) {
+  svc::Server server({1, "", "CESM-CLDHGH"});
+  const Field f = field_for_rank(2);
+  temporal::TemporalWriter::Options opt;
+  opt.inner = "SZ2.1";
+  temporal::TemporalWriter w(f.dims(), ErrorBound::Rel(1e-2), opt);
+  w.append(f);
+  const auto artifact = w.bytes();
+  for (const char* name : {"", "SZ2.1"}) {
+    const auto resp =
+        server.handle_frame(svc::encode_decompress_request({name, artifact}));
+    auto err = svc::parse_error_response(resp);
+    ASSERT_TRUE(err.ok()) << "codec '" << name << "'";
+    EXPECT_EQ(err->code, ErrCode::kUnsupported);
+    EXPECT_NE(err->message.find("TemporalReader"), std::string::npos)
+        << err->message;
+    EXPECT_NE(err->message.find("read-timestep"), std::string::npos)
+        << err->message;
+  }
+  const auto snap = server.snapshot();
+  EXPECT_EQ(snap.get("codec_cache_misses"), 0u);
+  EXPECT_EQ(snap.get("codec_cache_hits"), 0u);
+  EXPECT_EQ(snap.get("error_responses"), 2u);
 }
 
 /// Acceptance criterion: every registered codec round-trips through the
