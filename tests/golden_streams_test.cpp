@@ -195,6 +195,37 @@ constexpr char kGoldenZfp[] =
     "81042df3a23fa6bc25f232f4e5852101d1ce886596acfac1749087063264b537"
     "5ae435376236480222d438d11a";
 
+// kGoldenSzinterp: 380 bytes, codec-header v3 (no legacy pin: the
+// interpolation codec had no byte pin before the v3 header).
+constexpr char kGoldenSzinterp[] =
+    "50495a5303bd7fe725020c1000fca9f1d24d62503ffca9f1d24d62503f080114"
+    "111104b993803e0edcdf3e286a443f1efb8b3e00c102f2022dbf018382026689"
+    "fe01086a080108100807070208020805070d0704070f07040704070307020701"
+    "0706070507010509000403050406010601070b03050702050b00062701010419"
+    "00060100040b0007110004210102061f01050513000617000807020503041702"
+    "06030451000959020206052f00055d00040d00066d0701070407020704047500"
+    "0501b201030708070207050709074407030714072e071c079c019ffb97edf9ea"
+    "fbd0e35dfe3e4816fe57b13ab900e627b7701fbae0642fe8b9129bf0d9cc4a26"
+    "45cb9a610eabf432cb1273fbd85dd24627d02da0684ac5c233e8c5d560267f6c"
+    "dccc3fcbcf7f8c55b8b8a8272809a9cc6211c23744a625b340ad8b3e83b2094a"
+    "61ea605a6453ae88b0db06b9e67ebd6a881ea144272240e800b013ea5cbaa8f3"
+    "28efd699411541cc556b53183f31f8611f2256ab2401000401010000";
+
+// kGoldenSzauto: 363 bytes, codec-header v3 (no legacy pin either).
+constexpr char kGoldenSzauto[] =
+    "55415a53035c389e65020c1000fca9f1d24d62503ffca9f1d24d62503f01c602"
+    "a10317c00188810279f1fe010812080b0810080408030804080105010a030805"
+    "08020701070507040503010704050500040b040407010606130201060505000b"
+    "1d00041700071b000801000723000c19010207150102083f00074f0103041701"
+    "06040d01030407000b4500053d00051101030b1300093500057f020506040b03"
+    "030707071b00041d00061b000415b5010207030708070d07070705070407a501"
+    "f7e472bff47f482a3692227a7889c44d287b33c708055c55c35b2512073f23e8"
+    "63679cf17493186808e7f5d686f028b2adf75c415b0dd1e2fe3c81beaca63a13"
+    "537f771d325df7b8e5fcfd7104e85b642469f8a3a407d72c787fd804b85a1f5f"
+    "678252ca07df345508e55ecbe6e11374876a76d4c74f759c43ad8563288bb248"
+    "13aaadecac3e234bc7feab1b4caa6a73c9402b085ca4cc5bd181404df8e4cd64"
+    "f122507201000401010000";
+
 // kGoldenAetc: 1081 bytes — AETC v2 (per-record CRC32C), inner
 // codec-header v3, same 3 timesteps / SZ2.1 / gop 2 / auto mode.
 constexpr char kGoldenAetc[] =
@@ -302,7 +333,7 @@ constexpr double kEb = 1e-3;
 
 struct SnapshotCase {
   const char* codec;
-  const char* legacy_hex;  // codec-header v2, decode-only
+  const char* legacy_hex;  // codec-header v2, decode-only; null if none
   const char* hex;         // codec-header v3, byte-pinned
 };
 
@@ -312,6 +343,7 @@ TEST_P(GoldenSnapshot, YesterdaysBytesStillDecodeInBound) {
   const Field f = golden_field();
   auto codec = CodecRegistry::instance().create(GetParam().codec, 2).value();
   for (const char* hex : {GetParam().legacy_hex, GetParam().hex}) {
+    if (hex == nullptr) continue;
     const auto golden = from_hex(hex);
     auto recon = codec->decompress(golden);
     ASSERT_TRUE(recon.ok()) << recon.status().str();
@@ -345,7 +377,9 @@ INSTANTIATE_TEST_SUITE_P(
     Codecs, GoldenSnapshot,
     ::testing::Values(
         SnapshotCase{"SZ2.1", kGoldenSz21Legacy, kGoldenSz21},
-        SnapshotCase{"ZFP", kGoldenZfpLegacy, kGoldenZfp}),
+        SnapshotCase{"ZFP", kGoldenZfpLegacy, kGoldenZfp},
+        SnapshotCase{"SZinterp", nullptr, kGoldenSzinterp},
+        SnapshotCase{"SZauto", nullptr, kGoldenSzauto}),
     [](const auto& info) {
       std::string n = info.param.codec;
       for (char& c : n)

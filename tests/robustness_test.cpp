@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <memory>
 
 #include "data/synth.hpp"
@@ -134,6 +137,46 @@ TEST(Robustness, ExtremeValuesRoundtrip) {
     EXPECT_LE(metrics::max_abs_err(f.values(), g.values()),
               1e-3 * static_cast<double>(f.value_range()) * (1 + 1e-9))
         << c->name();
+  }
+}
+
+TEST(Robustness, NonFiniteValuesRoundTripBitExactly) {
+  // The prediction codecs keep NaN (either sign), +-Inf and denormals
+  // through their unpredictable-value stream: each special decodes to its
+  // exact bit pattern and every finite value stays within the bound, with
+  // no slack.
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            -std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::denorm_min()};
+  const auto bits = [](float v) { return std::bit_cast<std::uint32_t>(v); };
+  for (Dims d : {Dims(std::size_t{300}), Dims(24, 32), Dims(8, 10, 12)}) {
+    Field f(d);
+    Rng rng(31);
+    for (float& v : f.values()) v = rng.gaussianf();
+    // Sprinkle each special at several places, edges included.
+    const std::size_t n = f.size();
+    for (std::size_t k = 0; k < 15; ++k)
+      f.at(k == 0 ? 0 : k == 1 ? n - 1 : (k * 7919) % n) = specials[k % 5];
+    for (const char* name : {"SZ2.1", "SZinterp", "SZauto", "parallel:SZ2.1"}) {
+      auto c = CodecRegistry::instance().create(name, d.rank).value();
+      for (double eb : {1e-3, 1e-6}) {
+        const auto g = c->decompress(c->compress(f, ErrorBound::Abs(eb)));
+        ASSERT_TRUE(g.ok()) << name << " " << g.status().str();
+        ASSERT_EQ(g->dims(), d);
+        for (std::size_t i = 0; i < n; ++i) {
+          const float o = f.at(i), r = g->at(i);
+          if (!std::isfinite(o)) {
+            EXPECT_EQ(bits(o), bits(r))
+                << name << " " << d.str() << " eb " << eb << " at " << i;
+          } else {
+            EXPECT_LE(std::abs(static_cast<double>(o) - r), eb)
+                << name << " " << d.str() << " eb " << eb << " at " << i;
+          }
+        }
+      }
+    }
   }
 }
 
