@@ -52,23 +52,8 @@ double prediction_psnr_from_latents(AESZ& codec, const Field& test,
     std::copy(latents.data() + start * ld, latents.data() + (start + n) * ld,
               z.data());
     nn::Tensor rec = codec.trainer().model().decode(z, false);
-    for (std::size_t i = 0; i < n; ++i) {
-      std::size_t off[3], ext[3];
-      block_region(split, start + i, off, ext);
-      const float* r = rec.data() + i * be;
-      for (std::size_t a = 0; a < ext[0]; ++a)
-        for (std::size_t b = 0; b < ext[1]; ++b)
-          for (std::size_t c = 0; c < ext[2]; ++c) {
-            const std::size_t fidx =
-                cfg.rank == 2
-                    ? lin2(test.dims(), off[0] + a, off[1] + b)
-                    : lin3(test.dims(), off[0] + a, off[1] + b, off[2] + c);
-            const std::size_t bidx =
-                cfg.rank == 2 ? a * split.bs + b
-                              : (a * split.bs + b) * split.bs + c;
-            pred.at(fidx) = nrm.denorm(r[bidx]);
-          }
-    }
+    for (std::size_t i = 0; i < n; ++i)
+      insert_block(rec.data() + i * be, split, start + i, nrm, pred);
   }
   return metrics::psnr(test.values(), pred.values());
 }

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "lossless/lz.hpp"
 #include "nn/losses.hpp"
 #include "predictors/quantizer.hpp"
 #include "sz/common.hpp"
-#include "util/timer.hpp"
 
 namespace aesz {
 namespace {
@@ -60,17 +58,7 @@ void AEA::decode_window(const float* latent, float* out) {
   std::copy(z.data(), z.data() + opt_.window, out);
 }
 
-void AEA::predict_window(const float* in, float* out) {
-  std::vector<float> latent(opt_.latent);
-  encode_window(in, latent.data());
-  decode_window(latent.data(), out);
-}
-
-double AEA::train_step(const std::vector<const float*>& batch) {
-  const std::size_t N = batch.size();
-  nn::Tensor x({N, opt_.window});
-  for (std::size_t i = 0; i < N; ++i)
-    std::copy(batch[i], batch[i] + opt_.window, x.data() + i * opt_.window);
+double AEA::train_step(const nn::Tensor& x) {
   adam_->zero_grad();
   nn::Tensor h = x;
   for (auto& l : enc_) h = l->forward(h, true);
@@ -89,47 +77,17 @@ TrainReport AEA::train(const std::vector<const Field*>& fields,
   std::vector<std::vector<float>> samples;
   for (const Field* f : fields) {
     auto [lo, hi] = f->min_max();
-    const float range = hi - lo;
+    const Normalizer nrm{lo, hi};
     const std::size_t nwin = f->size() / opt_.window;
     for (std::size_t wdx = 0; wdx < nwin; ++wdx) {
       samples.emplace_back(opt_.window);
-      for (std::size_t i = 0; i < opt_.window; ++i) {
-        const float v = f->at(wdx * opt_.window + i);
-        samples.back()[i] =
-            range > 0 ? 2.0f * (v - lo) / range - 1.0f : 0.0f;
-      }
+      for (std::size_t i = 0; i < opt_.window; ++i)
+        samples.back()[i] = nrm.norm(f->at(wdx * opt_.window + i));
     }
   }
-  Rng rng(opts.seed);
-  if (samples.size() > opts.max_blocks) {
-    for (std::size_t i = 0; i < opts.max_blocks; ++i)
-      std::swap(samples[i], samples[i + rng.below(samples.size() - i)]);
-    samples.resize(opts.max_blocks);
-  }
-  AESZ_CHECK_MSG(!samples.empty(), "no AE-A training windows");
-
-  TrainReport report;
-  report.samples = samples.size();
-  Timer timer;
-  std::vector<std::size_t> order(samples.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  for (std::size_t epoch = 0; epoch < opts.epochs; ++epoch) {
-    for (std::size_t i = order.size(); i > 1; --i)
-      std::swap(order[i - 1], order[rng.below(i)]);
-    double el = 0.0;
-    std::size_t nb = 0;
-    for (std::size_t start = 0; start < order.size(); start += opts.batch) {
-      const std::size_t n = std::min(opts.batch, order.size() - start);
-      std::vector<const float*> batch(n);
-      for (std::size_t i = 0; i < n; ++i)
-        batch[i] = samples[order[start + i]].data();
-      el += train_step(batch);
-      ++nb;
-    }
-    report.epoch_loss.push_back(el / static_cast<double>(nb));
-  }
-  report.seconds = timer.seconds();
-  return report;
+  return train_minibatches(
+      std::move(samples), {opt_.window}, opts,
+      [&](const nn::Tensor& batch, std::size_t) { return train_step(batch); });
 }
 
 std::vector<std::uint8_t> AEA::compress(const Field& f,
@@ -153,27 +111,18 @@ std::vector<std::uint8_t> AEA::compress(const Field& f,
   // errors quantized like SZ ("the .dvalue files ... compressed by SZ").
   std::vector<float> latents(nwin * opt_.latent);
   std::vector<float> window(W), pred(W);
-  std::vector<std::uint16_t> codes(n);
-  std::vector<float> unpred;
-  LinearQuantizer quant(abs_eb);
+  const Normalizer nrm{lo, hi};
+  QuantEncoder enc(abs_eb, n);
 
   for (std::size_t wd = 0; wd < nwin; ++wd) {
     const std::size_t base = wd * W;
     const std::size_t len = std::min(W, n - base);
-    for (std::size_t i = 0; i < W; ++i) {
-      const float v = f.at(base + std::min(i, len - 1));
-      window[i] = range > 0 ? 2.0f * (v - lo) / range - 1.0f : 0.0f;
-    }
+    for (std::size_t i = 0; i < W; ++i)
+      window[i] = nrm.norm(f.at(base + std::min(i, len - 1)));
     encode_window(window.data(), latents.data() + wd * opt_.latent);
     decode_window(latents.data() + wd * opt_.latent, pred.data());
-    for (std::size_t i = 0; i < len; ++i) {
-      const float p = lo + (pred[i] + 1.0f) * 0.5f * range;
-      float rec;
-      const std::uint16_t code = quant.quantize(f.at(base + i), p, rec);
-      if (code == LinearQuantizer::kUnpredictable)
-        unpred.push_back(f.at(base + i));
-      codes[base + i] = code;
-    }
+    for (std::size_t i = 0; i < len; ++i)
+      enc.code(f.at(base + i), lo + (pred[i] + 1.0f) * 0.5f * range);
   }
 
   {
@@ -181,12 +130,7 @@ std::vector<std::uint8_t> AEA::compress(const Field& f,
     lw.put_array<float>(latents);
     w.put_blob(lz::compress(lw.bytes()));
   }
-  w.put_blob(qcodec::encode_codes(codes));
-  {
-    ByteWriter uw;
-    uw.put_array<float>(unpred);
-    w.put_blob(lz::compress(uw.bytes()));
-  }
+  enc.write(w);
   return sz::seal_stream(w.take());
 }
 
@@ -206,11 +150,7 @@ Field AEA::decompress_impl(std::span<const std::uint8_t> stream) {
   const auto latent_bytes = lz::decompress(r.get_blob());
   ByteReader lr(latent_bytes);
   const auto latents = lr.get_array<float>();
-  auto codes = qcodec::decode_codes(r.get_blob());
-  AESZ_CHECK_STREAM(codes.size() == d.total(), "code count mismatch");
-  const auto unpred_bytes = lz::decompress(r.get_blob());
-  ByteReader ur(unpred_bytes);
-  const auto unpred = ur.get_array<float>();
+  QuantDecoder dec(r, abs_eb, d.total());
 
   const std::size_t n = d.total();
   const std::size_t nwin = (n + W - 1) / W;
@@ -218,22 +158,12 @@ Field AEA::decompress_impl(std::span<const std::uint8_t> stream) {
 
   Field out(d);
   std::vector<float> pred(W);
-  LinearQuantizer quant(abs_eb);
-  std::size_t ui = 0;
   for (std::size_t wd = 0; wd < nwin; ++wd) {
     const std::size_t base = wd * W;
     const std::size_t len = std::min(W, n - base);
     decode_window(latents.data() + wd * L, pred.data());
-    for (std::size_t i = 0; i < len; ++i) {
-      const std::uint16_t code = codes[base + i];
-      if (code == LinearQuantizer::kUnpredictable) {
-        AESZ_CHECK_STREAM(ui < unpred.size(), "unpredictable underflow");
-        out.at(base + i) = unpred[ui++];
-        continue;
-      }
-      const float p = lo + (pred[i] + 1.0f) * 0.5f * range;
-      out.at(base + i) = quant.recover(p, code);
-    }
+    for (std::size_t i = 0; i < len; ++i)
+      out.at(base + i) = dec.next(lo + (pred[i] + 1.0f) * 0.5f * range);
   }
   return out;
 }

@@ -44,12 +44,10 @@ class AEA final : public Compressor, public Trainable {
   Field decompress_impl(std::span<const std::uint8_t> stream) override;
 
  private:
-  /// Window prediction (normalized in, normalized out).
-  void predict_window(const float* in, float* out);
   void encode_window(const float* in, float* latent);
   void decode_window(const float* latent, float* out);
   std::vector<nn::Param*> params();
-  double train_step(const std::vector<const float*>& batch);
+  double train_step(const nn::Tensor& batch);
 
   Options opt_;
   // Encoder: window -> w/8 -> w/64 -> latent; decoder mirrors.

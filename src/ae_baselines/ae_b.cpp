@@ -1,12 +1,9 @@
 #include "ae_baselines/ae_b.hpp"
 
 #include <algorithm>
-#include <numeric>
 
-#include "lossless/lz.hpp"
 #include "nn/losses.hpp"
 #include "sz/common.hpp"
-#include "util/timer.hpp"
 
 namespace aesz {
 namespace {
@@ -102,52 +99,10 @@ double AEB::train_step(const nn::Tensor& batch) {
 
 TrainReport AEB::train(const std::vector<const Field*>& fields,
                        const TrainOptions& opts) {
-  nn::AEConfig blockcfg;
-  blockcfg.rank = 3;
-  blockcfg.block = opt_.block;
-  std::vector<std::vector<float>> samples;
-  for (const Field* f : fields) {
-    AESZ_CHECK_MSG(f->dims().rank == 3, "AE-B supports only 3-D data");
-    const BlockSplit s = make_block_split(f->dims(), opt_.block);
-    auto [lo, hi] = f->min_max();
-    const Normalizer nrm{lo, hi};
-    for (std::size_t bid = 0; bid < s.total; ++bid) {
-      samples.emplace_back(s.block_elems());
-      extract_block(*f, s, bid, nrm, samples.back().data());
-    }
-  }
-  Rng rng(opts.seed);
-  if (samples.size() > opts.max_blocks) {
-    for (std::size_t i = 0; i < opts.max_blocks; ++i)
-      std::swap(samples[i], samples[i + rng.below(samples.size() - i)]);
-    samples.resize(opts.max_blocks);
-  }
-  AESZ_CHECK_MSG(!samples.empty(), "no AE-B training blocks");
-
-  TrainReport report;
-  report.samples = samples.size();
-  Timer timer;
-  std::vector<std::size_t> order(samples.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  const std::size_t be = samples[0].size();
-  for (std::size_t epoch = 0; epoch < opts.epochs; ++epoch) {
-    for (std::size_t i = order.size(); i > 1; --i)
-      std::swap(order[i - 1], order[rng.below(i)]);
-    double el = 0.0;
-    std::size_t nb = 0;
-    for (std::size_t start = 0; start < order.size(); start += opts.batch) {
-      const std::size_t n = std::min(opts.batch, order.size() - start);
-      nn::Tensor batch({n, 1, opt_.block, opt_.block, opt_.block});
-      for (std::size_t i = 0; i < n; ++i)
-        std::copy(samples[order[start + i]].begin(),
-                  samples[order[start + i]].end(), batch.data() + i * be);
-      el += train_step(batch);
-      ++nb;
-    }
-    report.epoch_loss.push_back(el / static_cast<double>(nb));
-  }
-  report.seconds = timer.seconds();
-  return report;
+  return train_minibatches(
+      gather_blocks(fields, 3, opt_.block),
+      {1, opt_.block, opt_.block, opt_.block}, opts,
+      [&](const nn::Tensor& batch, std::size_t) { return train_step(batch); });
 }
 
 std::vector<std::uint8_t> AEB::compress(const Field& f,
@@ -211,17 +166,9 @@ Field AEB::decompress_impl(std::span<const std::uint8_t> stream) {
     std::copy(latents.data() + start * latent_per_block_,
               latents.data() + (start + n) * latent_per_block_, z.data());
     nn::Tensor y = run(dec_, z, false);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t bid = start + i;
-      std::size_t off[3], ext[3];
-      block_region(split, bid, off, ext);
-      const float* rc = y.data() + i * split.block_elems();
-      for (std::size_t a = 0; a < ext[0]; ++a)
-        for (std::size_t b = 0; b < ext[1]; ++b)
-          for (std::size_t c = 0; c < ext[2]; ++c)
-            out.at3(off[0] + a, off[1] + b, off[2] + c) = nrm.denorm(
-                rc[(a * split.bs + b) * split.bs + c]);
-    }
+    for (std::size_t i = 0; i < n; ++i)
+      insert_block(y.data() + i * split.block_elems(), split, start + i, nrm,
+                   out);
   }
   return out;
 }

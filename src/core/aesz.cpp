@@ -182,23 +182,8 @@ std::vector<std::vector<std::uint8_t>> AESZ::compress_batch(
       const std::size_t g = start + i;
       while (g >= plans[fi].first_block + plans[fi].split.total) ++fi;
       const Plan& p = plans[fi];
-      const Dims& d = p.f->dims();
-      const BlockSplit& split = p.split;
-      Field& ae_pred = ae_preds[fi];
-      std::size_t off[3], ext[3];
-      block_region(split, g - p.first_block, off, ext);
-      const float* r = rec.data() + i * be;
-      for (std::size_t a = 0; a < ext[0]; ++a)
-        for (std::size_t b = 0; b < ext[1]; ++b)
-          for (std::size_t c = 0; c < ext[2]; ++c) {
-            const std::size_t fidx =
-                cfg.rank == 2 ? lin2(d, off[0] + a, off[1] + b)
-                              : lin3(d, off[0] + a, off[1] + b, off[2] + c);
-            const std::size_t bidx =
-                cfg.rank == 2 ? a * split.bs + b
-                              : (a * split.bs + b) * split.bs + c;
-            ae_pred.at(fidx) = p.nrm.denorm(r[bidx]);
-          }
+      insert_block(rec.data() + i * be, p.split, g - p.first_block, p.nrm,
+                   ae_preds[fi]);
     }
   }
 
@@ -230,17 +215,7 @@ std::vector<std::vector<std::uint8_t>> AESZ::compress_batch(
     const auto bid = static_cast<std::size_t>(b);
     std::size_t off[3], ext[3];
     block_region(split, bid, off, ext);
-    // AE loss against the valid region of the (padded) prediction.
-    double loss_ae = 0.0;
-    for (std::size_t a = 0; a < ext[0]; ++a)
-      for (std::size_t bb = 0; bb < ext[1]; ++bb)
-        for (std::size_t c = 0; c < ext[2]; ++c) {
-          const std::size_t fidx =
-              cfg.rank == 2 ? lin2(d, off[0] + a, off[1] + bb)
-                            : lin3(d, off[0] + a, off[1] + bb, off[2] + c);
-          loss_ae += std::abs(static_cast<double>(f.at(fidx)) -
-                              static_cast<double>(ae_pred.at(fidx)));
-        }
+    const double loss_ae = block_l1_vs(f, split, bid, ae_pred);
     // Lorenzo's online prediction reads *reconstructed* neighbors, so its
     // realized error carries quantization-feedback noise that grows with
     // the bound (E|e_a + e_b - e_c| ~ eb for the 2-D stencil). The
@@ -286,11 +261,9 @@ std::vector<std::vector<std::uint8_t>> AESZ::compress_batch(
   // ---- Step 4: residual quantization (blockwise raster; Lorenzo reads
   // reconstructed neighbors, which block-raster order keeps causal).
   prof::StageScope quantize_stage(prof::Stage::kQuantize);
-  LinearQuantizer quant(abs_eb);
   std::vector<float> recon(d.total());
-  std::vector<std::uint16_t> codes(d.total());
-  std::vector<float> unpred;
-  std::size_t ci = 0, mi = 0;
+  QuantEncoder enc(abs_eb, d.total());
+  std::size_t mi = 0;
   for (std::size_t bid = 0; bid < split.total; ++bid) {
     std::size_t off[3], ext[3];
     block_region(split, bid, off, ext);
@@ -311,17 +284,12 @@ std::vector<std::vector<std::uint8_t>> AESZ::compress_batch(
                          ? lorenzo::predict2(recon.data(), d, i0, i1)
                          : lorenzo::predict3(recon.data(), d, i0, i1, i2);
           }
-          float r;
-          const std::uint16_t code = quant.quantize(f.at(fidx), pred, r);
-          if (code == LinearQuantizer::kUnpredictable)
-            unpred.push_back(f.at(fidx));
-          recon[fidx] = r;
-          codes[ci++] = code;
+          recon[fidx] = enc.code(f.at(fidx), pred);
         }
       }
     }
   }
-  stats_.unpredictable = unpred.size();
+  stats_.unpredictable = enc.unpredictable();
   quantize_stage.stop();
 
   // ---- Step 5: stream assembly.
@@ -350,16 +318,7 @@ std::vector<std::vector<std::uint8_t>> AESZ::compress_batch(
     mw.put_array<float>(means);
     w.put_blob(lz::compress(mw.bytes()));
   }
-  {
-    const auto code_blob = qcodec::encode_codes(codes);
-    stats_.code_stream_bytes = code_blob.size();
-    w.put_blob(code_blob);
-  }
-  {
-    ByteWriter uw;
-    uw.put_array<float>(unpred);
-    w.put_blob(lz::compress(uw.bytes()));
-  }
+  stats_.code_stream_bytes = enc.write(w);
   out[pi] = sz::seal_stream(w.take());
   }
   return out;
@@ -410,40 +369,21 @@ Field AESZ::decompress_impl(std::span<const std::uint8_t> stream) {
     std::copy(zd.data() + start * ld, zd.data() + (start + n) * ld,
               zt.data());
     nn::Tensor rec = trainer_->model().decode(zt, /*train=*/false);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t bid = ae_blocks[start + i];
-      std::size_t off[3], ext[3];
-      block_region(split, bid, off, ext);
-      const float* rc = rec.data() + i * be;
-      for (std::size_t a = 0; a < ext[0]; ++a)
-        for (std::size_t b = 0; b < ext[1]; ++b)
-          for (std::size_t c = 0; c < ext[2]; ++c) {
-            const std::size_t fidx =
-                cfg.rank == 2 ? lin2(d, off[0] + a, off[1] + b)
-                              : lin3(d, off[0] + a, off[1] + b, off[2] + c);
-            const std::size_t bidx =
-                cfg.rank == 2 ? a * split.bs + b
-                              : (a * split.bs + b) * split.bs + c;
-            ae_pred.at(fidx) = nrm.denorm(rc[bidx]);
-          }
-    }
+    for (std::size_t i = 0; i < n; ++i)
+      insert_block(rec.data() + i * be, split, ae_blocks[start + i], nrm,
+                   ae_pred);
   }
 
   const auto mean_bytes = lz::decompress(r.get_blob());
   ByteReader mr(mean_bytes);
   const auto means = mr.get_array<float>();
-  auto codes = qcodec::decode_codes(r.get_blob());
-  AESZ_CHECK_STREAM(codes.size() == d.total(), "code count mismatch");
-  const auto unpred_bytes = lz::decompress(r.get_blob());
-  ByteReader ur(unpred_bytes);
-  const auto unpred = ur.get_array<float>();
+  QuantDecoder dec(r, abs_eb, d.total());
 
   // Residual reconstruction, mirroring the compression traversal.
   prof::StageScope quantize_stage(prof::Stage::kQuantize);
-  LinearQuantizer quant(abs_eb);
   Field out(d);
   float* recon = out.data();
-  std::size_t ci = 0, ui = 0, mi = 0;
+  std::size_t mi = 0;
   for (std::size_t bid = 0; bid < split.total; ++bid) {
     std::size_t off[3], ext[3];
     block_region(split, bid, off, ext);
@@ -459,12 +399,6 @@ Field AESZ::decompress_impl(std::span<const std::uint8_t> stream) {
           const std::size_t i0 = off[0] + a, i1 = off[1] + b, i2 = off[2] + c;
           const std::size_t fidx =
               cfg.rank == 2 ? lin2(d, i0, i1) : lin3(d, i0, i1, i2);
-          const std::uint16_t code = codes[ci++];
-          if (code == LinearQuantizer::kUnpredictable) {
-            AESZ_CHECK_STREAM(ui < unpred.size(), "unpredictable underflow");
-            recon[fidx] = unpred[ui++];
-            continue;
-          }
           float pred;
           switch (flag) {
             case kAE: pred = ae_pred.at(fidx); break;
@@ -473,7 +407,7 @@ Field AESZ::decompress_impl(std::span<const std::uint8_t> stream) {
               pred = cfg.rank == 2 ? lorenzo::predict2(recon, d, i0, i1)
                                    : lorenzo::predict3(recon, d, i0, i1, i2);
           }
-          recon[fidx] = quant.recover(pred, code);
+          recon[fidx] = dec.next(pred);
         }
       }
     }

@@ -96,13 +96,23 @@ void for_valid(const BlockSplit& s, const std::size_t off[3],
 
 }  // namespace
 
+void insert_block(const float* in, const BlockSplit& s, std::size_t bid,
+                  const Normalizer& nrm, Field& out) {
+  std::size_t off[3], ext[3];
+  block_region(s, bid, off, ext);
+  for_valid(s, off, ext, out.dims(), [&](std::size_t fi, std::size_t bi) {
+    out.at(fi) = nrm.denorm(in[bi]);
+  });
+}
+
 double block_l1_vs(const Field& f, const BlockSplit& s, std::size_t bid,
-                   const float* pred) {
+                   const Field& pred) {
   std::size_t off[3], ext[3];
   block_region(s, bid, off, ext);
   double loss = 0.0;
-  for_valid(s, off, ext, f.dims(), [&](std::size_t fi, std::size_t bi) {
-    loss += std::abs(static_cast<double>(f.at(fi)) - pred[bi]);
+  for_valid(s, off, ext, f.dims(), [&](std::size_t fi, std::size_t) {
+    loss += std::abs(static_cast<double>(f.at(fi)) -
+                     static_cast<double>(pred.at(fi)));
   });
   return loss;
 }

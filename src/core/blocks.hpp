@@ -58,10 +58,15 @@ struct Normalizer {
 void extract_block(const Field& f, const BlockSplit& s, std::size_t bid,
                    const Normalizer& nrm, float* out);
 
-/// L1 loss between the valid region of block `bid` in `f` and a padded
-/// prediction `pred` (bs^rank, in *original* units).
+/// Inverse of extract_block: denormalize the valid region of block `bid`
+/// (bs^rank floats in `in`) into `out`; the padding is dropped.
+void insert_block(const float* in, const BlockSplit& s, std::size_t bid,
+                  const Normalizer& nrm, Field& out);
+
+/// L1 loss between the valid region of block `bid` in `f` and the same
+/// region of the full-field prediction `pred`.
 double block_l1_vs(const Field& f, const BlockSplit& s, std::size_t bid,
-                   const float* pred);
+                   const Field& pred);
 
 /// Mean of the valid region of block `bid`.
 float block_mean(const Field& f, const BlockSplit& s, std::size_t bid);

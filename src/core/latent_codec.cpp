@@ -1,36 +1,24 @@
 #include "core/latent_codec.hpp"
 
-#include "lossless/lz.hpp"
 #include "predictors/quantizer.hpp"
 #include "util/bytestream.hpp"
 
 namespace aesz::latent_codec {
 
 float quantize_value(float v, double abs_eb) {
-  LinearQuantizer q(abs_eb);
-  float recon;
-  const auto code = q.quantize(v, /*pred=*/0.0f, recon);
-  return code == LinearQuantizer::kUnpredictable ? v : recon;
+  float recon = v;
+  LinearQuantizer(abs_eb).quantize(v, /*pred=*/0.0f, recon);
+  return recon;
 }
 
 std::vector<std::uint8_t> encode(std::span<const float> latents,
                                  double abs_eb) {
-  LinearQuantizer q(abs_eb);
-  std::vector<std::uint16_t> codes(latents.size());
-  std::vector<float> unpred;
-  for (std::size_t i = 0; i < latents.size(); ++i) {
-    float recon;
-    codes[i] = q.quantize(latents[i], 0.0f, recon);
-    if (codes[i] == LinearQuantizer::kUnpredictable)
-      unpred.push_back(latents[i]);
-  }
+  QuantEncoder enc(abs_eb, latents.size());
+  for (float v : latents) enc.code(v, 0.0f);
   ByteWriter w;
   w.put(abs_eb);
   w.put_varint(latents.size());
-  w.put_blob(qcodec::encode_codes(codes));
-  ByteWriter uw;
-  uw.put_array<float>(unpred);
-  w.put_blob(lz::compress(uw.bytes()));
+  enc.write(w);
   return w.take();
 }
 
@@ -38,23 +26,9 @@ std::vector<float> decode(std::span<const std::uint8_t> blob) {
   ByteReader r(blob);
   const double abs_eb = r.get<double>();
   const std::uint64_t n = r.get_varint();
-  auto codes = qcodec::decode_codes(r.get_blob());
-  AESZ_CHECK_MSG(codes.size() == n, "latent code count mismatch");
-  const auto unpred_bytes = lz::decompress(r.get_blob());
-  ByteReader ur(unpred_bytes);
-  const auto unpred = ur.get_array<float>();
-
-  LinearQuantizer q(abs_eb);
+  QuantDecoder dec(r, abs_eb, n);
   std::vector<float> out(n);
-  std::size_t ui = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (codes[i] == LinearQuantizer::kUnpredictable) {
-      AESZ_CHECK_MSG(ui < unpred.size(), "latent unpredictable underflow");
-      out[i] = unpred[ui++];
-    } else {
-      out[i] = q.recover(0.0f, codes[i]);
-    }
-  }
+  for (float& v : out) v = dec.next(0.0f);
   return out;
 }
 

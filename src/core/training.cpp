@@ -8,18 +8,60 @@
 #include "util/timer.hpp"
 
 namespace aesz {
-namespace {
 
-/// Gather normalized block samples from the fields (each sample is
-/// block_elems floats).
+TrainReport train_minibatches(
+    std::vector<std::vector<float>> samples,
+    const std::vector<std::size_t>& shape, const TrainOptions& opts,
+    const std::function<double(const nn::Tensor&, std::size_t)>& step,
+    const std::function<void(std::size_t, double)>& on_epoch) {
+  Rng rng(opts.seed);
+  // Uniform subsample if over budget (Fisher-Yates prefix).
+  if (samples.size() > opts.max_blocks) {
+    for (std::size_t i = 0; i < opts.max_blocks; ++i)
+      std::swap(samples[i], samples[i + rng.below(samples.size() - i)]);
+    samples.resize(opts.max_blocks);
+  }
+  AESZ_CHECK_MSG(!samples.empty(), "no training samples");
+
+  std::vector<std::size_t> order(samples.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::vector<std::size_t> batch_shape{0};
+  batch_shape.insert(batch_shape.end(), shape.begin(), shape.end());
+  const std::size_t se = samples[0].size();
+
+  TrainReport report;
+  report.samples = samples.size();
+  Timer timer;
+  for (std::size_t epoch = 0; epoch < opts.epochs; ++epoch) {
+    for (std::size_t i = order.size(); i > 1; --i)
+      std::swap(order[i - 1], order[rng.below(i)]);
+    double epoch_loss = 0.0;
+    std::size_t nb = 0;
+    for (std::size_t start = 0; start < order.size(); start += opts.batch) {
+      const std::size_t n = std::min(opts.batch, order.size() - start);
+      batch_shape[0] = n;
+      nn::Tensor batch(batch_shape);
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto& s = samples[order[start + i]];
+        std::copy(s.begin(), s.end(), batch.data() + i * se);
+      }
+      epoch_loss += step(batch, epoch);
+      ++nb;
+    }
+    report.epoch_loss.push_back(epoch_loss / static_cast<double>(nb));
+    if (on_epoch) on_epoch(epoch, report.epoch_loss.back());
+  }
+  report.seconds = timer.seconds();
+  return report;
+}
+
 std::vector<std::vector<float>> gather_blocks(
-    const std::vector<const Field*>& fields, const nn::AEConfig& cfg,
-    std::size_t max_blocks, Rng& rng) {
+    const std::vector<const Field*>& fields, int rank, std::size_t bs) {
   std::vector<std::vector<float>> samples;
   for (const Field* f : fields) {
-    AESZ_CHECK_MSG(f->dims().rank == cfg.rank,
-                   "training field rank does not match AE config");
-    const BlockSplit s = make_block_split(f->dims(), cfg.block);
+    AESZ_CHECK_MSG(f->dims().rank == rank,
+                   "training field rank does not match the model");
+    const BlockSplit s = make_block_split(f->dims(), bs);
     auto [lo, hi] = f->min_max();
     const Normalizer nrm{lo, hi};
     for (std::size_t bid = 0; bid < s.total; ++bid) {
@@ -27,70 +69,34 @@ std::vector<std::vector<float>> gather_blocks(
       extract_block(*f, s, bid, nrm, samples.back().data());
     }
   }
-  // Uniform subsample if over budget (Fisher-Yates prefix).
-  if (samples.size() > max_blocks) {
-    for (std::size_t i = 0; i < max_blocks; ++i) {
-      const std::size_t j = i + rng.below(samples.size() - i);
-      std::swap(samples[i], samples[j]);
-    }
-    samples.resize(max_blocks);
-  }
   return samples;
 }
-
-}  // namespace
 
 TrainReport train_on_fields(nn::VariantTrainer& trainer,
                             const std::vector<const Field*>& fields,
                             const TrainOptions& opts) {
   const nn::AEConfig& cfg = trainer.model().config();
-  Rng rng(opts.seed);
-  auto samples = gather_blocks(fields, cfg, opts.max_blocks, rng);
-  AESZ_CHECK_MSG(!samples.empty(), "no training blocks");
-
-  std::vector<std::size_t> order(samples.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-
-  std::vector<std::size_t> in_shape{0, 1};
-  for (int i = 0; i < cfg.rank; ++i) in_shape.push_back(cfg.block);
-
-  TrainReport report;
-  report.samples = samples.size();
-  Timer timer;
-  for (std::size_t epoch = 0; epoch < opts.epochs; ++epoch) {
-    // Linear learning-rate decay to 10%: recovers most of the quality a
-    // full cosine schedule would at this training scale.
-    trainer.set_lr(opts.lr *
-                   static_cast<float>(1.0 - 0.9 * static_cast<double>(epoch) /
-                                                std::max<std::size_t>(
-                                                    opts.epochs - 1, 1)));
-    // Shuffle sample order each epoch.
-    for (std::size_t i = order.size(); i > 1; --i)
-      std::swap(order[i - 1], order[rng.below(i)]);
-    double epoch_loss = 0.0;
-    std::size_t nb = 0;
-    for (std::size_t start = 0; start < order.size(); start += opts.batch) {
-      const std::size_t n = std::min(opts.batch, order.size() - start);
-      in_shape[0] = n;
-      nn::Tensor batch(in_shape);
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto& s = samples[order[start + i]];
-        std::copy(s.begin(), s.end(),
-                  batch.data() + i * cfg.block_elems());
-      }
-      epoch_loss += trainer.train_step(batch);
-      ++nb;
-    }
-    report.epoch_loss.push_back(epoch_loss / static_cast<double>(nb));
-    if (opts.verbose) {
-      std::printf("  [%s] epoch %zu/%zu loss %.6f\n",
-                  nn::variant_name(trainer.variant()).c_str(), epoch + 1,
-                  opts.epochs, report.epoch_loss.back());
-      std::fflush(stdout);
-    }
-  }
-  report.seconds = timer.seconds();
-  return report;
+  std::vector<std::size_t> shape{1};
+  for (int i = 0; i < cfg.rank; ++i) shape.push_back(cfg.block);
+  return train_minibatches(
+      gather_blocks(fields, cfg.rank, cfg.block), shape, opts,
+      [&](const nn::Tensor& batch, std::size_t epoch) {
+        // Linear learning-rate decay to 10%: recovers most of the quality
+        // a full cosine schedule would at this training scale.
+        trainer.set_lr(
+            opts.lr *
+            static_cast<float>(1.0 - 0.9 * static_cast<double>(epoch) /
+                                         std::max<std::size_t>(
+                                             opts.epochs - 1, 1)));
+        return trainer.train_step(batch);
+      },
+      [&](std::size_t epoch, double loss) {
+        if (!opts.verbose) return;
+        std::printf("  [%s] epoch %zu/%zu loss %.6f\n",
+                    nn::variant_name(trainer.variant()).c_str(), epoch + 1,
+                    opts.epochs, loss);
+        std::fflush(stdout);
+      });
 }
 
 std::vector<nn::Tensor> make_eval_batches(const Field& f,
@@ -133,26 +139,8 @@ double prediction_psnr(nn::VariantTrainer& trainer, const Field& test) {
     for (std::size_t i = 0; i < n; ++i)
       extract_block(test, s, start + i, nrm, t.data() + i * be);
     nn::Tensor rec = trainer.reconstruct(t);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t bid = start + i;
-      std::size_t off[3], ext[3];
-      block_region(s, bid, off, ext);
-      const float* r = rec.data() + i * be;
-      for (std::size_t a = 0; a < ext[0]; ++a)
-        for (std::size_t b = 0; b < ext[1]; ++b)
-          for (std::size_t c = 0; c < ext[2]; ++c) {
-            const std::size_t fidx =
-                s.rank == 1   ? off[0] + a
-                : s.rank == 2 ? lin2(test.dims(), off[0] + a, off[1] + b)
-                              : lin3(test.dims(), off[0] + a, off[1] + b,
-                                     off[2] + c);
-            const std::size_t bidx = s.rank == 1 ? a
-                                     : s.rank == 2
-                                         ? a * s.bs + b
-                                         : (a * s.bs + b) * s.bs + c;
-            pred.at(fidx) = nrm.denorm(r[bidx]);
-          }
-    }
+    for (std::size_t i = 0; i < n; ++i)
+      insert_block(rec.data() + i * be, s, start + i, nrm, pred);
   }
   return metrics::psnr(test.values(), pred.values());
 }

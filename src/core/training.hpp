@@ -1,5 +1,6 @@
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "core/blocks.hpp"
@@ -37,6 +38,23 @@ class Trainable {
   virtual TrainReport train(const std::vector<const Field*>& fields,
                             const TrainOptions& opts) = 0;
 };
+
+/// The minibatch loop every learned codec trains with. Seeds an Rng with
+/// opts.seed, subsamples `samples` to opts.max_blocks (Fisher–Yates
+/// prefix), reshuffles every epoch, and hands each minibatch — an
+/// (n, shape...) tensor — to `step`, which returns its loss. `on_epoch`,
+/// if set, sees each epoch's mean loss.
+TrainReport train_minibatches(
+    std::vector<std::vector<float>> samples,
+    const std::vector<std::size_t>& shape, const TrainOptions& opts,
+    const std::function<double(const nn::Tensor& batch, std::size_t epoch)>&
+        step,
+    const std::function<void(std::size_t epoch, double loss)>& on_epoch = {});
+
+/// Every block of every field, normalized by its field's min/max (as the
+/// compressor does online); each sample is bs^rank floats.
+std::vector<std::vector<float>> gather_blocks(
+    const std::vector<const Field*>& fields, int rank, std::size_t bs);
 
 /// Split each training field into normalized blocks (per-field min/max, as
 /// the compressor will do online) and run minibatch training.

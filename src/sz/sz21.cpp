@@ -109,7 +109,6 @@ std::vector<std::uint8_t> SZ21::compress(const Field& f,
   sz::write_header(w, kMagic, d, eb, abs_eb);
 
   const BlockGrid g = make_grid(d, opt_);
-  LinearQuantizer quant(abs_eb);
 
   std::vector<std::uint8_t> flags(g.total, 0);  // 1 = regression
   std::vector<PlaneFit> fits(g.total);
@@ -179,9 +178,7 @@ std::vector<std::uint8_t> SZ21::compress(const Field& f,
   // Pass 2: blockwise raster encode. Lorenzo reads reconstructed neighbors
   // (block-raster + inner-raster order keeps the causal stencil available).
   std::vector<float> recon(d.total());
-  std::vector<std::uint16_t> codes(d.total());
-  std::vector<float> unpred;
-  std::size_t ci = 0;
+  QuantEncoder enc(abs_eb, d.total());
   bid = 0;
   for (std::size_t B0 = 0; B0 < g.nb[0]; ++B0) {
     for (std::size_t B1 = 0; B1 < g.nb[1]; ++B1) {
@@ -212,12 +209,7 @@ std::vector<std::uint8_t> SZ21::compress(const Field& f,
                            ? lorenzo::predict2(recon.data(), d, i0, i1)
                            : lorenzo::predict3(recon.data(), d, i0, i1, i2);
               }
-              float r;
-              const std::uint16_t code = quant.quantize(src[idx], pred, r);
-              if (code == LinearQuantizer::kUnpredictable)
-                unpred.push_back(src[idx]);
-              recon[idx] = r;
-              codes[ci++] = code;
+              recon[idx] = enc.code(src[idx], pred);
             }
           }
         }
@@ -234,12 +226,7 @@ std::vector<std::uint8_t> SZ21::compress(const Field& f,
     w.put_blob(lz::compress(packed));
   }
   w.put_blob(lz::compress(coeff_w.bytes()));
-  w.put_blob(qcodec::encode_codes(codes));
-  {
-    ByteWriter uw;
-    uw.put_array<float>(unpred);
-    w.put_blob(lz::compress(uw.bytes()));
-  }
+  enc.write(w);
   return sz::seal_stream(w.take());
 }
 
@@ -262,17 +249,12 @@ Field SZ21::decompress_impl(std::span<const std::uint8_t> stream) {
   const double slope_prec = 2.0 * abs_eb / static_cast<double>(g.bs[0]);
   const double icept_prec = abs_eb;
 
-  auto codes = qcodec::decode_codes(r.get_blob());
-  AESZ_CHECK_STREAM(codes.size() == d.total(), "code count mismatch");
-  const auto unpred_bytes = lz::decompress(r.get_blob());
-  ByteReader ur(unpred_bytes);
-  const auto unpred = ur.get_array<float>();
+  QuantDecoder dec(r, abs_eb, d.total());
 
   prof::StageScope predict_stage(prof::Stage::kPredict);
-  LinearQuantizer quant(abs_eb);
   Field out(d);
   float* recon = out.data();
-  std::size_t ci = 0, ui = 0, bid = 0;
+  std::size_t bid = 0;
   for (std::size_t B0 = 0; B0 < g.nb[0]; ++B0) {
     for (std::size_t B1 = 0; B1 < g.nb[1]; ++B1) {
       for (std::size_t B2 = 0; B2 < g.nb[2]; ++B2, ++bid) {
@@ -298,12 +280,6 @@ Field SZ21::decompress_impl(std::span<const std::uint8_t> stream) {
               const std::size_t idx = rank == 1   ? i0
                                       : rank == 2 ? lin2(d, i0, i1)
                                                   : lin3(d, i0, i1, i2);
-              const std::uint16_t code = codes[ci++];
-              if (code == LinearQuantizer::kUnpredictable) {
-                AESZ_CHECK_STREAM(ui < unpred.size(), "unpredictable underflow");
-                recon[idx] = unpred[ui++];
-                continue;
-              }
               float pred;
               if (reg) {
                 pred = static_cast<float>(
@@ -315,7 +291,7 @@ Field SZ21::decompress_impl(std::span<const std::uint8_t> stream) {
                        : rank == 2 ? lorenzo::predict2(recon, d, i0, i1)
                                    : lorenzo::predict3(recon, d, i0, i1, i2);
               }
-              recon[idx] = quant.recover(pred, code);
+              recon[idx] = dec.next(pred);
             }
           }
         }

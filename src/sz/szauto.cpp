@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "lossless/lz.hpp"
 #include "predictors/lorenzo.hpp"
 #include "predictors/quantizer.hpp"
 #include "sz/common.hpp"
@@ -59,19 +58,13 @@ std::vector<std::uint8_t> SZAuto::compress(const Field& f,
   sz::write_header(w, kMagic, d, eb, abs_eb);
   w.put(static_cast<std::uint8_t>(use2nd ? 2 : 1));
 
-  LinearQuantizer quant(abs_eb);
   const float* src = f.data();
   std::vector<float> recon(d.total());
-  std::vector<std::uint16_t> codes(d.total());
-  std::vector<float> unpred;
+  QuantEncoder enc(abs_eb, d.total());
   prof::StageScope predict_stage(prof::Stage::kPredict);
 
   auto encode_point = [&](std::size_t idx, float pred) {
-    float r;
-    const std::uint16_t code = quant.quantize(src[idx], pred, r);
-    if (code == LinearQuantizer::kUnpredictable) unpred.push_back(src[idx]);
-    recon[idx] = r;
-    codes[idx] = code;
+    recon[idx] = enc.code(src[idx], pred);
   };
 
   if (d.rank == 1) {
@@ -95,10 +88,7 @@ std::vector<std::uint8_t> SZAuto::compress(const Field& f,
   }
 
   predict_stage.stop();
-  w.put_blob(qcodec::encode_codes(codes));
-  ByteWriter uw;
-  uw.put_array<float>(unpred);
-  w.put_blob(lz::compress(uw.bytes()));
+  enc.write(w);
   return sz::seal_stream(w.take());
 }
 
@@ -111,26 +101,14 @@ Field SZAuto::decompress_impl(std::span<const std::uint8_t> stream) {
   AESZ_CHECK_STREAM(order == 1 || order == 2, "bad predictor order");
   const bool use2nd = order == 2;
 
-  auto codes = qcodec::decode_codes(r.get_blob());
-  AESZ_CHECK_STREAM(codes.size() == d.total(), "code count mismatch");
-  const auto unpred_bytes = lz::decompress(r.get_blob());
-  ByteReader ur(unpred_bytes);
-  const auto unpred = ur.get_array<float>();
+  QuantDecoder dec(r, abs_eb, d.total());
 
   prof::StageScope predict_stage(prof::Stage::kPredict);
-  LinearQuantizer quant(abs_eb);
   Field out(d);
   float* recon = out.data();
-  std::size_t ui = 0;
 
   auto decode_point = [&](std::size_t idx, float pred) {
-    const std::uint16_t code = codes[idx];
-    if (code == LinearQuantizer::kUnpredictable) {
-      AESZ_CHECK_STREAM(ui < unpred.size(), "unpredictable underflow");
-      recon[idx] = unpred[ui++];
-    } else {
-      recon[idx] = quant.recover(pred, code);
-    }
+    recon[idx] = dec.next(pred);
   };
 
   if (d.rank == 1) {

@@ -87,6 +87,23 @@ void walk(const Dims& d, std::size_t S, bool cubic, const float* buf,
   }
 }
 
+/// Number of point() calls walk() makes: at each level s, the odd
+/// multiples of s along one axis times the coarser grids of the others.
+std::size_t refined_points(const Dims& d, std::size_t S) {
+  const auto on = [](std::size_t n, std::size_t m) { return (n + m - 1) / m; };
+  const std::size_t n0 = d[0];
+  const std::size_t n1 = d.rank >= 2 ? d[1] : 1;
+  const std::size_t n2 = d.rank >= 3 ? d[2] : 1;
+  std::size_t total = 0;
+  for (std::size_t s = S; s >= 1; s /= 2) {
+    const std::size_t t = 2 * s;
+    total += (on(n0, s) - on(n0, t)) * on(n1, t) * on(n2, t);
+    if (d.rank >= 2) total += on(n0, s) * (on(n1, s) - on(n1, t)) * on(n2, t);
+    if (d.rank >= 3) total += on(n0, s) * on(n1, s) * (on(n2, s) - on(n2, t));
+  }
+  return total;
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> SZInterp::compress(const Field& f,
@@ -102,13 +119,10 @@ std::vector<std::uint8_t> SZInterp::compress(const Field& f,
   w.put_varint(S);
   w.put(static_cast<std::uint8_t>(opt_.cubic ? 1 : 0));
 
-  LinearQuantizer quant(abs_eb);
   const float* src = f.data();
   std::vector<float> recon(d.total());
-  std::vector<std::uint16_t> codes;
-  codes.reserve(d.total());
+  QuantEncoder enc(abs_eb, d.total());
   std::vector<float> anchors;
-  std::vector<float> unpred;
 
   prof::StageScope predict_stage(prof::Stage::kPredict);
   walk(
@@ -118,12 +132,7 @@ std::vector<std::uint8_t> SZInterp::compress(const Field& f,
         recon[idx] = src[idx];
       },
       [&](std::size_t idx, float pred) {
-        float r;
-        const std::uint16_t code = quant.quantize(src[idx], pred, r);
-        if (code == LinearQuantizer::kUnpredictable)
-          unpred.push_back(src[idx]);
-        recon[idx] = r;
-        codes.push_back(code);
+        recon[idx] = enc.code(src[idx], pred);
       });
 
   predict_stage.stop();
@@ -132,12 +141,7 @@ std::vector<std::uint8_t> SZInterp::compress(const Field& f,
     aw.put_array<float>(anchors);
     w.put_blob(lz::compress(aw.bytes()));
   }
-  w.put_blob(qcodec::encode_codes(codes));
-  {
-    ByteWriter uw;
-    uw.put_array<float>(unpred);
-    w.put_blob(lz::compress(uw.bytes()));
-  }
+  enc.write(w);
   return sz::seal_stream(w.take());
 }
 
@@ -157,16 +161,12 @@ Field SZInterp::decompress_impl(std::span<const std::uint8_t> stream) {
   const auto anchor_bytes = lz::decompress(r.get_blob());
   ByteReader ar(anchor_bytes);
   const auto anchors = ar.get_array<float>();
-  auto codes = qcodec::decode_codes(r.get_blob());
-  const auto unpred_bytes = lz::decompress(r.get_blob());
-  ByteReader ur(unpred_bytes);
-  const auto unpred = ur.get_array<float>();
+  QuantDecoder dec(r, abs_eb, refined_points(d, S));
 
   prof::StageScope predict_stage(prof::Stage::kPredict);
-  LinearQuantizer quant(abs_eb);
   Field out(d);
   float* recon = out.data();
-  std::size_t ai = 0, ci = 0, ui = 0;
+  std::size_t ai = 0;
 
   walk(
       d, S, cubic, recon,
@@ -174,16 +174,7 @@ Field SZInterp::decompress_impl(std::span<const std::uint8_t> stream) {
         AESZ_CHECK_STREAM(ai < anchors.size(), "anchor underflow");
         recon[idx] = anchors[ai++];
       },
-      [&](std::size_t idx, float pred) {
-        AESZ_CHECK_STREAM(ci < codes.size(), "code underflow");
-        const std::uint16_t code = codes[ci++];
-        if (code == LinearQuantizer::kUnpredictable) {
-          AESZ_CHECK_STREAM(ui < unpred.size(), "unpredictable underflow");
-          recon[idx] = unpred[ui++];
-        } else {
-          recon[idx] = quant.recover(pred, code);
-        }
-      });
+      [&](std::size_t idx, float pred) { recon[idx] = dec.next(pred); });
   return out;
 }
 

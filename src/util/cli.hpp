@@ -42,19 +42,25 @@ class CliArgs {
       if (eq != std::string::npos) {
         value = key.substr(eq + 1);
         key = key.substr(0, eq);
-      } else if (in(flags_, key)) {
-        // std::string temporary, not a char* assign: GCC 12's -Wrestrict
-        // false-fires on the inlined assign(const char*) path here.
-        values_[key] = std::string("1");
-        continue;
-      } else if (in(optional_, key) &&
-                 (i + 1 >= argc ||
-                  std::string(argv[i + 1]).rfind("--", 0) == 0)) {
-        value = std::string("1");
-      } else if (i + 1 < argc) {
-        value = argv[++i];
-      } else {
-        throw Error("missing value for --" + key);
+      }
+      // Check the key before it can take the next token as its value, so
+      // a trailing typo reads "unknown", not "missing value".
+      AESZ_CHECK_MSG(in(known_, key) || in(optional_, key) || in(flags_, key),
+                     "unknown option --" + key);
+      if (eq == std::string::npos) {
+        if (in(flags_, key)) {
+          // std::string temporary, not a char* assign: GCC 12's -Wrestrict
+          // false-fires on the inlined assign(const char*) path here.
+          values_[key] = std::string("1");
+          continue;
+        }
+        if (in(optional_, key) &&
+            (i + 1 >= argc || std::string(argv[i + 1]).rfind("--", 0) == 0))
+          value = std::string("1");
+        else if (i + 1 < argc)
+          value = argv[++i];
+        else
+          throw Error("missing value for --" + key);
       }
       if (in(flags_, key)) {
         // Callers test flags by presence (has()), so "--flag=0" /
@@ -63,8 +69,6 @@ class CliArgs {
           values_[key] = std::string("1");
         continue;
       }
-      AESZ_CHECK_MSG(in(known_, key) || in(optional_, key),
-                     "unknown option --" + key);
       values_[key] = value;
     }
   }

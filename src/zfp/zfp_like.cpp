@@ -275,6 +275,14 @@ void decode_planes(BitReader& r, std::uint32_t* u, std::size_t size, int kmin,
 
 std::vector<std::uint8_t> ZFPLike::compress(const Field& f,
                                             const ErrorBound& eb) {
+  // The block transform has no exception stream: a NaN or Inf would
+  // corrupt every value sharing its block, so refuse it up front.
+  const float* v = f.data();
+  for (std::size_t i = 0; i < f.size(); ++i)
+    if (!std::isfinite(v[i]))
+      throw Error(ErrCode::kInvalidArgument,
+                  "ZFP cannot code non-finite input: element " +
+                      std::to_string(i) + " is " + std::to_string(v[i]));
   const Dims& d = f.dims();
   const bool fixed_rate = opt_.rate_bits_per_value > 0.0;
   const double tol =

@@ -180,6 +180,28 @@ TEST(Robustness, NonFiniteValuesRoundTripBitExactly) {
   }
 }
 
+TEST(Robustness, ZfpRefusesNonFiniteInputTyped) {
+  // ZFP has no exception stream, so it must refuse NaN/Inf rather than
+  // hand back a "successful" stream whose finite values are off by far
+  // more than the bound.
+  Field f = synth::cesm_freqsh(64, 64, 3);
+  f.at(100) = std::numeric_limits<float>::quiet_NaN();
+  f.at(2000) = std::numeric_limits<float>::infinity();
+  const auto expect_refused = [&](Compressor& c) {
+    try {
+      c.compress(f, ErrorBound::Abs(1e-3));
+      ADD_FAILURE() << c.name() << " accepted non-finite input";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrCode::kInvalidArgument) << c.name() << ": "
+                                                     << e.what();
+    }
+  };
+  for (const char* name : {"ZFP", "parallel:ZFP"})
+    expect_refused(*CodecRegistry::instance().create(name, 2).value());
+  ZFPLike fixed_rate({/*rate_bits_per_value=*/8.0});
+  expect_refused(fixed_rate);
+}
+
 TEST(Robustness, SingleElementField) {
   Field f(Dims(std::size_t{1}), 42.0f);
   SZ21 sz;

@@ -14,6 +14,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -416,6 +417,19 @@ TEST(Server, UnusableBoundIsTypedErrorFrame) {
   auto err = svc::parse_error_response(resp);
   ASSERT_TRUE(err.ok());
   EXPECT_EQ(err->code, ErrCode::kInvalidArgument);
+}
+
+TEST(Server, NonFiniteZfpCompressIsInvalidArgument) {
+  svc::Server server({1, "", "CESM-CLDHGH"});
+  Field f = field_for_rank(2);
+  f.at(3) = std::numeric_limits<float>::quiet_NaN();
+  auto req = sample_compress_request(f);
+  req.codec = "ZFP";
+  req.eb = ErrorBound::Abs(1e-3);
+  const auto resp = server.handle_frame(svc::encode_compress_request(req));
+  auto err = svc::parse_error_response(resp);
+  ASSERT_TRUE(err.ok());
+  EXPECT_EQ(err->code, ErrCode::kInvalidArgument) << err->message;
 }
 
 TEST(Server, CorruptStreamDecompressIsTypedErrorFrame) {

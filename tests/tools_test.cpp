@@ -47,6 +47,30 @@ TEST(Cli, UnknownFlagThrows) {
   EXPECT_THROW(make_args({"--nope", "1"}, {"eb"}), Error);
 }
 
+// An unknown key is reported as unknown even where it would otherwise
+// swallow the next token as its value (or find none at the end).
+TEST(Cli, TrailingUnknownFlagIsReportedAsUnknown) {
+  try {
+    make_args({"--port", "0", "--bogus"}, {"port"}, {"verify"}, {"once"});
+    ADD_FAILURE() << "trailing --bogus accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown option --bogus"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Cli, UnknownFlagBeforeAKnownFlagIsReportedAsUnknown) {
+  try {
+    make_args({"--bogus", "--verify"}, {"port"}, {"verify"});
+    ADD_FAILURE() << "--bogus --verify accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown option --bogus"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Cli, MissingValueThrows) {
   EXPECT_THROW(make_args({"--eb"}, {"eb"}), Error);
 }
