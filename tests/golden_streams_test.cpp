@@ -32,16 +32,22 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/aesz.hpp"
 #include "data/synth.hpp"
 #include "metrics/metrics.hpp"
 #include "pipeline/parallel_compressor.hpp"
 #include "predictors/registry.hpp"
 #include "progressive/progressive.hpp"
 #include "service/protocol.hpp"
+#include "sz/common.hpp"
+#include "sz/sz21.hpp"
+#include "sz/szauto.hpp"
 #include "temporal/aetc.hpp"
 #include "temporal/temporal.hpp"
 #include "util/bytestream.hpp"
@@ -580,6 +586,368 @@ TEST(GoldenAepc, FutureContainerVersionIsRefusedTyped) {
   auto id = CodecRegistry::instance().identify(stream);
   ASSERT_FALSE(id.ok());
   EXPECT_EQ(id.status().code, ErrCode::kBadHeader);
+}
+
+// ------------------------------------------- rank-1/3 and AE-SZ block pins
+//
+// The 2-D snapshots above leave the rank-1 and rank-3 block walks, SZauto's
+// second-order stencil and AE-SZ's Lorenzo/mean residual path unpinned.
+// The inputs below leave partial edge blocks on every blocked axis.
+// Regenerating: compress each input under abs:1e-3 with the registry
+// codec of its rank (AE-SZ: lorenzo_only_aesz()) and hex-dump the stream.
+
+// kGoldenSz21Rank1: 291 bytes
+constexpr char kGoldenSz21Rank1[] =
+    "31325a530316b98fc001ac0200fca9f1d24d62503ffca9f1d24d62503f040101"
+    "0400070404f218f90700f20188020eac02b7830229ecff010701070108070100"
+    "040b000a010306010505030006010304010305010104050d00061b0004230306"
+    "020604090205080401b2010608910307ab016f4a724928398d711cc318c2300c"
+    "8fc7e376bb9c4fe7cbf53e84988a4172778924084ade5aeff3b26efbfedab76d"
+    "5d97676f4e18409292aa57778994b7a9f7de7babcd5d4031332349c9dd5d1209"
+    "cb710c21a60c5275eaf3739ea756dd25120048822825a714538a29a59c4a2906"
+    "90244118cccccc40afb556170810240912849592722ac5400225effbbeadcb3c"
+    "55a1e49ce21886fbf57cfafa381e0e87e3e7f7e51e32dbf2faf9fdfb07000401"
+    "010000";
+// kGoldenSz21Rank3: 840 bytes
+constexpr char kGoldenSz21Rank3[] =
+    "31325a53035ce717490307090a00fca9f1d24d62503ffca9f1d24d62503f0401"
+    "01f0001d1a1ae0080094049e019009009003d0038e12003403c20f00a004e803"
+    "008006fc061ef604fb8202a801eefe01090a09070901090409090901090d0904"
+    "09010902040306080109010905050d0206080411050109030802051104010801"
+    "0805210004230005030402080107061500050500060100041101070501030801"
+    "07052d000611000815000e01050601080106070100040d000c0101050f0f0004"
+    "2900042300060300062d00066700080700060500089501000c0500048b010009"
+    "0f0005d7010005e9010008cb010007e9010004af01020902040d00070700060f"
+    "0004030103050907030906090e090a0511af040509140901090f091209c20109"
+    "a004ffa1f841e45815215dc6133fc549c9579b0868905c60a5704adfe8caee18"
+    "0c1e7cbfd443aff7858912eeb7ab1a9b708e3db20620f7f7231d7f2b8d6753b1"
+    "1919f08313bda59f382719c5ba3d955138cf78d964b1c92bdf362f445cbb1c41"
+    "11bee5f611666e17ddaf045cd74552c851b0d1e27c6bad0ad5d42406018d8659"
+    "b040773831a4888b1a859618cb04b41aa05392a0f9824512d7917eaf348f7e28"
+    "21ced68d1647bdd23450869492dcfddc3528eaf74cbfa022004329393d64cefe"
+    "80b19de16dce7d92c40a6dd5ec4a4394338d79feeb8d25f5789d957c2fd74d5b"
+    "b3d571db3e8e2d453fcb47a7faa077e12eeca0e9209b0b259d6313dc4402a6f6"
+    "06e7b4314b11436a921d01241dc3640e06656dfae6385c05144bb09554b72072"
+    "8a9466d999bad9a9b4790ec2086524e6759855c4628ea681b41c4d7d0cdfd9ab"
+    "419766b7ff842e76736470d73c811067e7f2bcb5d59f5c058a757866e09326a8"
+    "f794dfc3a7cf555e3f453c014302bc10ade5ecc1e11994e7653d96277ab30fd5"
+    "c5820d09016dcde07045a56f159ab520460912a6eb3c058bec901e862f4b510a"
+    "8108ed1fac021b0b18282832e7818ffed56f48b47f5671ab18ff468d91593a8e"
+    "86e4721a4f054825e58af8e82db3871385989a39dcb7802d233809d4810c74ca"
+    "7270d967878950bb9759a915dc7ab95a95f0d1fa173d38a614e23d77d31e03ad"
+    "4c524c350cd60a8f9f87bd5709bf376bc54707a7361e2ce6950901eecb2f9870"
+    "c90b000401010000";
+// kGoldenSzautoRank1Order1: 298 bytes
+constexpr char kGoldenSzautoRank1Order1[] =
+    "55415a5303e3fd9d5001ac0200fca9f1d24d62503ffca9f1d24d62503f018502"
+    "970212ac02c382022be3fd01080108020801070106050300040500060b000413"
+    "000401070803080108af02061c07050105010601040501010307070004110004"
+    "17000607000425bb0108850207b5016ff33597eda7d6b2a6d14d21dcb1087081"
+    "30139d490418a000f4a2a666b735d7ad96bbab309dc2fc7a4daf8f10628c9ff3"
+    "344f733c9140fd5edbbeb7fa9dcc54ce4b8ccbc2bdaa998dee29251f93bba7d1"
+    "dccdec6aaaaa03146a7a3503a41740dd6f6bae6dff3d8ebdd5edb1b5761c7fc7"
+    "ff7eb4f62cab01671655b5ab2a805e4444b8171148cf4444d4b1305317630821"
+    "7cc565611e6066966e3997521e39e7ec363011c9a06e29d767dbb6b28e0a0853"
+    "47c4820b000401010000";
+// kGoldenSzautoRank1Order2: 155 bytes
+constexpr char kGoldenSzautoRank1Order2[] =
+    "55415a530378bb776201ac0200fca9f1d24d62503ffca9f1d24d62503f027777"
+    "3eac02e6880207f1ff01040d030103010201020103e308045f7f986559c12ccb"
+    "0a46db158cb62b60d6ae60b45dc1685600b3ac00665901302b0098958e689605"
+    "1b309615c02c2b0066a5239a6505ccb202986505c0ac5d319a15c06801c02c2b"
+    "18cd0a60961500b3763562bb02464b47c476042400000401010000";
+// kGoldenSzautoRank3Order1: 832 bytes
+constexpr char kGoldenSzautoRank3Order1[] =
+    "55415a53039ca423fd0307090a00fca9f1d24d62503ffca9f1d24d62503f019a"
+    "06920722f604fb8202b001d4fe0109190901090a09070901090409090901080d"
+    "0904090109020403030801080409130309010802090608030901090308020905"
+    "0901040103080108062100070700140105070109010708010202070511000413"
+    "0006070012010308010607010107090900060b01050b0f000813000823000469"
+    "00040d000a450008690004070005a10100070900040500050d00058b0100050f"
+    "010204e7010006cf010005030004f901040309010704d3010102040d00041300"
+    "072500041b000425000489020902080909020907090504b5020005b102000409"
+    "0004190004cb02b10402090d091209c20109a604ffc3a15dff91a144fa4b0926"
+    "ccfa03085d1f76918c107fbac6588fafc0a04a30049a6d762f64ebb4e55272a1"
+    "da9e5cd7a3182f4e56e703ea9eef3a4f0f699be5f0f9f49a0f6a147e7bcf7630"
+    "448084c39e97739dd452817d77b9d787e731d79c7cb46290153a62a205e713cb"
+    "bdcc40d8ba94e8a97d3ed4f2b7586d32b61a1e8d056322b0a17301cf46e2188c"
+    "e3ca3fe8d4f4149b5995410fdd175f04520644c31e7670b43bff755f3c3c8631"
+    "829eabf4865ff80ceaa4c4d8dbd1dd9a6d3641a30e23519bb9f071a5c16fce6b"
+    "0cbdc1e024ee8c30a391372707de2a1c1f3d03e47ee9d7f00927f5adef74f1d9"
+    "43d8ae0b946bfeda48747a0322370791eda2db7c695ab16478824b9190c47b65"
+    "bddef43cb318a7470057521d6898a0822850288806220301b72e00964b4b5639"
+    "504e193cc328bb23c7109615b52091a466a816130acf2ae3577218af90880d2a"
+    "817c3493001449e3b4eca654812baa1d9ce2f4e4088c67244183fb6e0a85099a"
+    "8e05a7f0eee4dd10e215e55bd91ed83b3b81a940b9ad33989b9054e4551e3635"
+    "55126dd272bdb152ac35db777d3a122584384cea11e64eea623850d020da651f"
+    "df22fd129f4b011421c5098a0282245357b335b3df49953d28c909ab894e06d5"
+    "349684782e281fafbc2ec68c0787bfff111dc10a6479bf7440dcf63b114053c0"
+    "d2b637eae9caac9db3fdec6af9b01e42838e5028c614d2e8b833af46d8ad106e"
+    "ea6ff874df11b2d6b5fe28ef341af6b11b635d5176f1b10afb01000401010000";
+// kGoldenSzautoRank3Order2: 132 bytes
+constexpr char kGoldenSzautoRank3Order2[] =
+    "55415a5303134ea4490307090a00fca9f1d24d62503ffca9f1d24d62503f025f"
+    "7b12f6048c80020780800201010502050202020404010264000a00273c00aaaa"
+    "525595aaaa5455a5aa2a5555a9aa4a55551f80aaaa0420000108400002104000"
+    "545525070b038000060c1a06c00250559500080e063800aaaa1280080e000004"
+    "01010000";
+// kGoldenAeszLorenzoRank2: 560 bytes
+constexpr char kGoldenAeszLorenzoRank2[] =
+    "5a5345410334ebd0b202141400fca9f1d24d62503ffca9f1d24d62503f1a8ae0"
+    "3debb7623f2cf720f29a25f50608040603030100000016d91c3649672e453f00"
+    "07040400010000000401010000080505010000803e00d303ca04229003918102"
+    "820198ff0109020903090a09050802080d080208010802070208010702040b05"
+    "0701070108040100060b00050500050f01030b0b000433020106060b00051300"
+    "06170008090006190004490507010601060b0900060b0103070b000827000609"
+    "030702050709000a3100089101000601000c63000a8d01010705bd0100050d01"
+    "0306990102080406990102080305ab01000605040207030806f1010703082908"
+    "bb02001700a302bf7f073bd9edf645f432ed0d2453e4cfdd17a563a8c7255419"
+    "31b1c12c2f25d3d1b05a8fa86b20b2b8715af0f78ab5f3c4abb570322a4a9189"
+    "ff918e06d65ffe39f16aa74dcbb42ca3759cf4add9e8e2d02095bd0f07b8870a"
+    "1d3276cac96eea88448b31665a72161a5e71b732460c5df6d17aa2735b55d9d5"
+    "6533976beac590ad3acfd4744a2cd8f859972c687983d712f172e0c31c231ae2"
+    "ef2c69bad50c99f4d1bc99f1abce298fd3cc2b726cc6311e23f1e0f1fc6c8987"
+    "c92a158efb8cced91d2569a08b6ca6ebe975864e59ad9a70f3d48cbf5e09925f"
+    "c90a230d9dbe19de9b5187f36f5b19cf94923b2c6defb8fab6be8bdcbeecce1f"
+    "ba1f577889f2eeb6a9e73ba3dfee29b0572f9729c7bfd4c1f559bb254e0494c5"
+    "917023c80543ab75c60e000401010000";
+// kGoldenAeszLorenzoRank3: 801 bytes
+constexpr char kGoldenAeszLorenzoRank3[] =
+    "5a5345410310271d86030a0a0a00fca9f1d24d62503ffca9f1d24d62503fd8b2"
+    "313e47126c3f8fe7ede64c34ea45080405020201400016070434d327473e3f00"
+    "070404000100000004010100000c0909020000803e26ed093f00c005d5062fe8"
+    "07f181029c01cbfe010a160a070a020a190a010a090a050a0b0a0709050a0108"
+    "060a020a020a030a020a010a0109060500070300040508090108030901090206"
+    "130708020a02080108071b040a020803082f000601010804230009030107052b"
+    "03070107050500060b07090107010601060505000603030701010b2500040100"
+    "061500063100040b00040700061b00046100047d000597010006070004810101"
+    "02080d0006c50100060100072301020509010204230005cb0105040a010a0308"
+    "e70100051900051d1c0a040a040a0309090a010a150a0e0a020a1e0a160a2d0a"
+    "01099204003f00d203fffed2aa6f9c3cb414562be3975e5d2dbd599a89c3da95"
+    "c9cd687bf9a92bc757ea8f44f5423fadb59bd5bb87efcdf6c687ee4d7fb274e8"
+    "7c3e9db83ef179544f56662ba156278c670a978b1f46e7ee8e54c2e8a3b55ce1"
+    "f0e8ef633b85f617c5959e3fc6a7d367d632a3f1422b2eb6d53ecd06c9741a2d"
+    "c4f1dfb9eec1e66626f82b3fd20ff71f29bd7263fdabf79ffd72ad75eaf44272"
+    "a11cdd488e95e7c61acd7da152f7d66ef3bfc79e5e4eba47e79edbecbedbdef9"
+    "299d0b1a69a3112f06ada546546cd41fed7d7fbd55cad533ab5b83c2db51edf1"
+    "ed5bedfed6fe4cb87e265fc94f96b2edeee9f660b6585faa87d538a83e78a7fe"
+    "5b327ef9ad6b2f4feef9f3e4d091302a34735174bebf7231ad2ca5b5fb23078e"
+    "f66feeaec6616bfbc48162f9f9ceb9b3c5cc62e5895f77f6f5afaed4e6d3a41c"
+    "cd67e360b0d9cdee7d61feeba9c5538db9ad0fd673a552b33de83cb47ce1b3d2"
+    "e0f6dab773b95c7f6338fb4f7e6a263eb82777330982a927a35eac52ab36bac6"
+    "e2d9b0f3f39dd67b3353d5f6ed6faacae59aa45a7ef8c4eac7c7cf3c50fe61e1"
+    "ffd1178b2f25d31b9dc5b4d74b82e8d8487bb81b0c8f0ced767fbc94ffee8dec"
+    "d5c26ba5c660abf34e753e695f6bc957265e0ff6a6c1c54c7df52c0004010100"
+    "00";
+
+// 300 points: two full 128-point SZ2.1 blocks and a 44-point edge block.
+// Noise on a ramp, so regression beats Lorenzo on some blocks.
+Field noisy_ramp_1d() {
+  const Field noise = synth::value_noise_2d(1, 300, 3, 6.0, /*seed=*/321);
+  Field f(Dims(300));
+  for (std::size_t i = 0; i < f.size(); ++i)
+    f.at(i) = noise.at(i) + 0.004f * static_cast<float>(i);
+  return f;
+}
+
+// 7x9x10: every axis ends in a partial 6-point SZ2.1 block.
+Field noisy_ramp_3d() {
+  const Field noise = synth::value_noise_3d(7, 9, 10, 2, 3.0, /*seed=*/322);
+  Field f(Dims(7, 9, 10));
+  for (std::size_t i = 0; i < 7; ++i)
+    for (std::size_t j = 0; j < 9; ++j)
+      for (std::size_t k = 0; k < 10; ++k)
+        f.at(lin3(f.dims(), i, j, k)) =
+            noise.at(lin3(f.dims(), i, j, k)) +
+            0.03f * static_cast<float>(i + 2 * j + k);
+  return f;
+}
+
+// Smooth polynomials with a little noise: SZauto's second-order stencil
+// wins.
+Field bowl_1d() {
+  const Field noise = synth::value_noise_2d(1, 300, 2, 8.0, /*seed=*/323);
+  Field f(Dims(300));
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    const float x = static_cast<float>(i) - 150.0f;
+    f.at(i) = 1e-4f * x * x + 1e-3f * noise.at(i);
+  }
+  return f;
+}
+
+Field bowl_3d() {
+  const Field noise = synth::value_noise_3d(7, 9, 10, 2, 3.0, /*seed=*/324);
+  Field f(Dims(7, 9, 10));
+  for (std::size_t i = 0; i < 7; ++i)
+    for (std::size_t j = 0; j < 9; ++j)
+      for (std::size_t k = 0; k < 10; ++k) {
+        const auto x = static_cast<float>(i), y = static_cast<float>(j),
+                   z = static_cast<float>(k);
+        f.at(lin3(f.dims(), i, j, k)) =
+            0.01f * x * y * z + 0.002f * x * x +
+            1e-5f * noise.at(lin3(f.dims(), i, j, k));
+      }
+  return f;
+}
+
+// Pseudo-random jitter on noise: SZauto's first-order stencil wins.
+Field rough_1d() {
+  const Field noise = synth::value_noise_2d(1, 300, 3, 6.0, /*seed=*/327);
+  Field f(Dims(300));
+  for (std::size_t i = 0; i < f.size(); ++i)
+    f.at(i) = noise.at(i) + 0.05f * static_cast<float>(i * 7919 % 13);
+  return f;
+}
+
+// Noise with one constant 8^rank patch (block 0 of the AE-SZ pins' 8-point
+// split), so both mean and Lorenzo blocks occur; 20 and 10 points per axis
+// leave partial edge blocks.
+Field patched_2d() {
+  Field f = synth::value_noise_2d(20, 20, 3, 4.0, /*seed=*/325);
+  for (std::size_t i = 0; i < 8; ++i)
+    for (std::size_t j = 0; j < 8; ++j) f.at(lin2(f.dims(), i, j)) = 0.25f;
+  return f;
+}
+
+Field patched_3d() {
+  Field f = synth::value_noise_3d(10, 10, 10, 2, 3.0, /*seed=*/326);
+  for (std::size_t i = 0; i < 8; ++i)
+    for (std::size_t j = 0; j < 8; ++j)
+      for (std::size_t k = 0; k < 8; ++k)
+        f.at(lin3(f.dims(), i, j, k)) = 0.25f;
+  return f;
+}
+
+// An untrained AE-SZ restricted to Lorenzo and mean blocks: its residual
+// bytes never depend on network outputs.
+std::unique_ptr<AESZ> lorenzo_only_aesz(int rank) {
+  AESZ::Options opt;
+  opt.ae.rank = rank;
+  opt.ae.block = 8;
+  opt.ae.latent = 4;
+  opt.ae.channels = {4};
+  opt.policy = AESZ::Policy::kLorenzoOnly;
+  return std::make_unique<AESZ>(opt, /*seed=*/11);
+}
+
+// Network-dependent fields of an AE-SZ stream, zeroed: the CRC (bytes
+// 5-8), the weight fingerprint, and the latent blob's bound (its first 8
+// bytes, a range of the encoder's latents). Initialisation and GEMM
+// rounding may differ across machines; every other byte may not.
+std::vector<std::uint8_t> mask_network_fields(std::vector<std::uint8_t> s) {
+  ByteReader r(s);
+  EXPECT_TRUE(sz::read_header(r, AESZ::kStreamMagic).ok());
+  r.get<float>();
+  r.get<float>();
+  const std::size_t fp_at = r.pos();
+  r.get<std::uint64_t>();
+  r.get_varint();
+  r.get_varint();
+  r.get_blob();  // block flags
+  const auto latents = r.get_blob();
+  const auto latent_at = static_cast<std::size_t>(latents.data() - s.data());
+  std::memset(s.data() + sz::kCrcOffset, 0, 4);
+  std::memset(s.data() + fp_at, 0, 8);
+  std::memset(s.data() + latent_at, 0, 8);
+  return s;
+}
+
+struct RankPinCase {
+  const char* name;
+  const char* codec;
+  Field (*input)();
+  const char* hex;
+};
+
+class GoldenRankPin : public ::testing::TestWithParam<RankPinCase> {};
+
+TEST_P(GoldenRankPin, TodaysEncoderReproducesTheBlobByteForByte) {
+  const Field f = GetParam().input();
+  auto codec =
+      CodecRegistry::instance().create(GetParam().codec, f.dims().rank).value();
+  EXPECT_EQ(codec->compress(f, ErrorBound::Abs(kEb)), from_hex(GetParam().hex));
+}
+
+TEST_P(GoldenRankPin, YesterdaysBytesStillDecodeInBound) {
+  const Field f = GetParam().input();
+  auto codec =
+      CodecRegistry::instance().create(GetParam().codec, f.dims().rank).value();
+  auto recon = codec->decompress(from_hex(GetParam().hex));
+  ASSERT_TRUE(recon.ok()) << recon.status().str();
+  ASSERT_EQ(recon->dims(), f.dims());
+  EXPECT_LE(metrics::max_abs_err(f.values(), recon->values()),
+            kEb * (1 + 1e-9));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Codecs, GoldenRankPin,
+    ::testing::Values(
+        RankPinCase{"Sz21Rank1", "SZ2.1", noisy_ramp_1d, kGoldenSz21Rank1},
+        RankPinCase{"Sz21Rank3", "SZ2.1", noisy_ramp_3d, kGoldenSz21Rank3},
+        RankPinCase{"SzautoRank1Order1", "SZauto", rough_1d,
+                    kGoldenSzautoRank1Order1},
+        RankPinCase{"SzautoRank1Order2", "SZauto", bowl_1d,
+                    kGoldenSzautoRank1Order2},
+        RankPinCase{"SzautoRank3Order1", "SZauto", noisy_ramp_3d,
+                    kGoldenSzautoRank3Order1},
+        RankPinCase{"SzautoRank3Order2", "SZauto", bowl_3d,
+                    kGoldenSzautoRank3Order2}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+TEST(GoldenRankPins, Sz21PinsHoldRegressionBlocks) {
+  SZ21::Options lorenzo_only;
+  lorenzo_only.enable_regression = false;
+  const std::pair<const char*, Field (*)()> pins[] = {
+      {kGoldenSz21Rank1, noisy_ramp_1d}, {kGoldenSz21Rank3, noisy_ramp_3d}};
+  for (const auto& [hex, input] : pins)
+    EXPECT_NE(SZ21(lorenzo_only).compress(input(), ErrorBound::Abs(kEb)),
+              from_hex(hex));
+}
+
+TEST(GoldenRankPins, SzautoPinsCoverBothStencilOrders) {
+  const std::pair<const char*, int> pins[] = {
+      {kGoldenSzautoRank1Order1, 1}, {kGoldenSzautoRank1Order2, 2},
+      {kGoldenSzautoRank3Order1, 1}, {kGoldenSzautoRank3Order2, 2}};
+  for (const auto& [hex, order] : pins) {
+    const auto stream = from_hex(hex);
+    ByteReader r(stream);
+    ASSERT_TRUE(sz::read_header(r, SZAuto::kStreamMagic).ok());
+    EXPECT_EQ(r.get<std::uint8_t>(), order);
+  }
+}
+
+TEST(GoldenAeszLorenzo, TodaysEncoderReproducesEveryNonNetworkByte) {
+  for (int rank : {2, 3}) {
+    const Field f = rank == 2 ? patched_2d() : patched_3d();
+    const auto golden = from_hex(rank == 2 ? kGoldenAeszLorenzoRank2
+                                           : kGoldenAeszLorenzoRank3);
+    auto codec = lorenzo_only_aesz(rank);
+    const auto now = codec->compress(f, ErrorBound::Abs(kEb));
+    EXPECT_EQ(codec->last_stats().blocks_mean, rank == 2 ? 1u : 2u);
+    EXPECT_EQ(codec->last_stats().blocks_ae, 0u);
+    EXPECT_EQ(mask_network_fields(now), mask_network_fields(golden))
+        << "rank " << rank;
+  }
+}
+
+TEST(GoldenAeszLorenzo, YesterdaysBytesStillDecodeInBound) {
+  for (int rank : {2, 3}) {
+    const Field f = rank == 2 ? patched_2d() : patched_3d();
+    auto golden = from_hex(rank == 2 ? kGoldenAeszLorenzoRank2
+                                     : kGoldenAeszLorenzoRank3);
+    auto codec = lorenzo_only_aesz(rank);
+    // Stamp this machine's weight fingerprint (copied from a fresh stream
+    // of the same model) and reseal; no block reads the network.
+    const auto fresh = codec->compress(f, ErrorBound::Abs(kEb));
+    ByteReader r(fresh);
+    ASSERT_TRUE(sz::read_header(r, AESZ::kStreamMagic).ok());
+    const std::size_t fp_at = r.pos() + 2 * sizeof(float);
+    std::memcpy(golden.data() + fp_at, fresh.data() + fp_at, 8);
+    auto recon = codec->decompress(sz::seal_stream(std::move(golden)));
+    ASSERT_TRUE(recon.ok()) << recon.status().str();
+    EXPECT_LE(metrics::max_abs_err(f.values(), recon->values()),
+              kEb * (1 + 1e-9));
+  }
 }
 
 /// Stats-frame wire compatibility across the observability PR: the frame
