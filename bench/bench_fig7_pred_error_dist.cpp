@@ -74,12 +74,12 @@ std::vector<float> regression_pred(const Field& f) {
 }
 
 /// AE prediction with latents quantized at 0.1 * abs_eb.
-std::vector<float> ae_pred(AESZ& codec, const Field& f, double abs_eb) {
+Field ae_pred(AESZ& codec, const Field& f, double abs_eb) {
   const nn::AEConfig& cfg = codec.trainer().model().config();
   const BlockSplit split = make_block_split(f.dims(), cfg.block);
   auto [lo, hi] = f.min_max();
   const Normalizer nrm{lo, hi};
-  std::vector<float> pred(f.size());
+  Field pred(f.dims());
   auto batches = make_eval_batches(f, cfg, 64);
   std::size_t bid0 = 0;
   const std::size_t be = split.block_elems();
@@ -88,22 +88,15 @@ std::vector<float> ae_pred(AESZ& codec, const Field& f, double abs_eb) {
     for (std::size_t i = 0; i < z.numel(); ++i)
       z[i] = latent_codec::quantize_value(z[i], 0.1 * abs_eb);
     nn::Tensor rec = codec.trainer().model().decode(z, false);
-    for (std::size_t i = 0; i < rec.dim(0); ++i) {
-      std::size_t off[3], ext[3];
-      block_region(split, bid0 + i, off, ext);
-      const float* r = rec.data() + i * be;
-      for (std::size_t a = 0; a < ext[0]; ++a)
-        for (std::size_t bb = 0; bb < ext[1]; ++bb)
-          pred[lin2(f.dims(), off[0] + a, off[1] + bb)] =
-              nrm.denorm(r[a * split.bs + bb]);
-    }
+    for (std::size_t i = 0; i < rec.dim(0); ++i)
+      insert_block(rec.data() + i * be, split, bid0 + i, nrm, pred);
     bid0 += rec.dim(0);
   }
   return pred;
 }
 
-void print_pdf(const Field& f, const std::vector<float>& lor,
-               const std::vector<float>& reg, const std::vector<float>& ae) {
+void print_pdf(const Field& f, std::span<const float> lor,
+               std::span<const float> reg, std::span<const float> ae) {
   constexpr std::size_t kBins = 21;
   const double span = 0.1;  // the paper's x-axis: errors in [-0.1, 0.1]
   const auto p_lor = metrics::error_pdf(f.values(), lor, -span, span, kBins);
@@ -141,7 +134,7 @@ int main() {
     std::printf("\n-- error bound %.0e --\n", rel_eb);
     const auto lor = lorenzo_pred(ds.test, abs_eb);
     const auto ae = ae_pred(codec, ds.test, abs_eb);
-    print_pdf(ds.test, lor, reg, ae);
+    print_pdf(ds.test, lor, reg, ae.values());
     std::fflush(stdout);
   }
   return 0;

@@ -1,10 +1,12 @@
 #include "core/aesz.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 
 #include "core/latent_codec.hpp"
 #include "lossless/lz.hpp"
+#include "predictors/blocks.hpp"
 #include "predictors/lorenzo.hpp"
 #include "predictors/quantizer.hpp"
 #include "sz/common.hpp"
@@ -24,6 +26,43 @@ std::uint64_t fnv1a(const std::uint8_t* p, std::size_t n,
     h *= 0x100000001B3ULL;
   }
   return h;
+}
+
+/// The one AE-SZ residual traversal (Algorithm 1's quantization step and
+/// its inverse), shared by compress and decompress: blocks in raster
+/// order, points in raster order within each block. AE blocks predict
+/// from `ae_pred`, mean blocks from the next entry of `means`, Lorenzo
+/// blocks from already-visited entries of `recon`; `step(idx, pred)` codes
+/// or decodes point `idx`. The rank is resolved once per call and the
+/// predictor once per block.
+template <typename StepFn>
+void walk(const BlockSplit& s, const std::vector<std::uint8_t>& flags,
+          const Field& ae_pred, const std::vector<float>& means,
+          const float* recon, StepFn&& step) {
+  const Dims& d = s.field_dims;
+  with_rank(s.rank, [&](auto R) {
+    std::size_t mi = 0;
+    for (std::size_t bid = 0; bid < s.total; ++bid) {
+      std::size_t off[3], ext[3];
+      block_region(s, bid, off, ext);
+      if (flags[bid] == kAE) {
+        for_valid(d, off, ext, [&](std::size_t idx, auto...) {
+          step(idx, ae_pred.at(idx));
+        });
+      } else if (flags[bid] == kMean) {
+        const float mean = means[mi++];
+        for_valid(d, off, ext,
+                  [&](std::size_t idx, auto...) { step(idx, mean); });
+      } else {
+        for_valid(d, off, ext,
+                  [&](std::size_t idx, std::size_t a, std::size_t b,
+                      std::size_t c) {
+                    step(idx, lorenzo::predict<R>(recon, d, off[0] + a,
+                                                  off[1] + b, off[2] + c));
+                  });
+      }
+    }
+  });
 }
 
 }  // namespace
@@ -263,32 +302,10 @@ std::vector<std::vector<std::uint8_t>> AESZ::compress_batch(
   prof::StageScope quantize_stage(prof::Stage::kQuantize);
   std::vector<float> recon(d.total());
   QuantEncoder enc(abs_eb, d.total());
-  std::size_t mi = 0;
-  for (std::size_t bid = 0; bid < split.total; ++bid) {
-    std::size_t off[3], ext[3];
-    block_region(split, bid, off, ext);
-    const std::uint8_t flag = flags[bid];
-    const float mean = flag == kMean ? means[mi++] : 0.0f;
-    for (std::size_t a = 0; a < ext[0]; ++a) {
-      for (std::size_t b = 0; b < ext[1]; ++b) {
-        for (std::size_t c = 0; c < ext[2]; ++c) {
-          const std::size_t i0 = off[0] + a, i1 = off[1] + b, i2 = off[2] + c;
-          const std::size_t fidx =
-              cfg.rank == 2 ? lin2(d, i0, i1) : lin3(d, i0, i1, i2);
-          float pred;
-          switch (flag) {
-            case kAE: pred = ae_pred.at(fidx); break;
-            case kMean: pred = mean; break;
-            default:
-              pred = cfg.rank == 2
-                         ? lorenzo::predict2(recon.data(), d, i0, i1)
-                         : lorenzo::predict3(recon.data(), d, i0, i1, i2);
-          }
-          recon[fidx] = enc.code(f.at(fidx), pred);
-        }
-      }
-    }
-  }
+  walk(split, flags, ae_pred, means, recon.data(),
+       [&](std::size_t idx, float pred) {
+         recon[idx] = enc.code(f.at(idx), pred);
+       });
   stats_.unpredictable = enc.unpredictable();
   quantize_stage.stop();
 
@@ -378,40 +395,17 @@ Field AESZ::decompress_impl(std::span<const std::uint8_t> stream) {
   ByteReader mr(mean_bytes);
   const auto means = mr.get_array<float>();
   QuantDecoder dec(r, abs_eb, d.total());
+  const auto mean_blocks = static_cast<std::size_t>(
+      std::count(flags.begin(), flags.end(), std::uint8_t{kMean}));
+  AESZ_CHECK_STREAM(means.size() == mean_blocks && mr.eof(),
+                    "mean count != mean-block count");
 
   // Residual reconstruction, mirroring the compression traversal.
   prof::StageScope quantize_stage(prof::Stage::kQuantize);
   Field out(d);
   float* recon = out.data();
-  std::size_t mi = 0;
-  for (std::size_t bid = 0; bid < split.total; ++bid) {
-    std::size_t off[3], ext[3];
-    block_region(split, bid, off, ext);
-    const std::uint8_t flag = flags[bid];
-    float mean = 0.0f;
-    if (flag == kMean) {
-      AESZ_CHECK_STREAM(mi < means.size(), "mean underflow");
-      mean = means[mi++];
-    }
-    for (std::size_t a = 0; a < ext[0]; ++a) {
-      for (std::size_t b = 0; b < ext[1]; ++b) {
-        for (std::size_t c = 0; c < ext[2]; ++c) {
-          const std::size_t i0 = off[0] + a, i1 = off[1] + b, i2 = off[2] + c;
-          const std::size_t fidx =
-              cfg.rank == 2 ? lin2(d, i0, i1) : lin3(d, i0, i1, i2);
-          float pred;
-          switch (flag) {
-            case kAE: pred = ae_pred.at(fidx); break;
-            case kMean: pred = mean; break;
-            default:
-              pred = cfg.rank == 2 ? lorenzo::predict2(recon, d, i0, i1)
-                                   : lorenzo::predict3(recon, d, i0, i1, i2);
-          }
-          recon[fidx] = dec.next(pred);
-        }
-      }
-    }
-  }
+  walk(split, flags, ae_pred, means, recon,
+       [&](std::size_t idx, float pred) { recon[idx] = dec.next(pred); });
   return out;
 }
 

@@ -1,36 +1,14 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 
 #include "data/field.hpp"
-#include "util/dims.hpp"
+#include "predictors/blocks.hpp"
 
 namespace aesz {
 
-/// Blockwise decomposition of a field into fixed-size cubes/squares (the
-/// paper's "split the data into small fixed-size blocks"). Partial edge
-/// blocks are padded by edge replication when fed to the network; only the
-/// valid region participates in losses and residual coding.
-struct BlockSplit {
-  Dims field_dims;
-  std::size_t bs = 0;      // block edge
-  int rank = 0;
-  std::size_t nb[3] = {1, 1, 1};
-  std::size_t total = 0;   // number of blocks
-
-  std::size_t block_elems() const {
-    std::size_t n = 1;
-    for (int i = 0; i < rank; ++i) n *= bs;
-    return n;
-  }
-};
-
-BlockSplit make_block_split(const Dims& d, std::size_t bs);
-
-/// Block origin and valid extent for block id `bid` (raster order).
-void block_region(const BlockSplit& s, std::size_t bid, std::size_t off[3],
-                  std::size_t ext[3]);
+/// The AE-facing side of the block split (`predictors/blocks.hpp`):
+/// normalization, network-block extract/insert and the selection losses.
 
 /// Linear [-1,1] normalization bound to a field's min/max (the paper's
 /// input normalization "based on the global maximum and minimum of data").
@@ -74,9 +52,5 @@ float block_mean(const Field& f, const BlockSplit& s, std::size_t bid);
 /// L1 loss of predicting the valid region by a constant.
 double block_l1_const(const Field& f, const BlockSplit& s, std::size_t bid,
                       float c);
-
-/// L1 loss of block-local first-order Lorenzo on original values
-/// (selection criterion, Algorithm 1 line 7).
-double block_l1_lorenzo(const Field& f, const BlockSplit& s, std::size_t bid);
 
 }  // namespace aesz

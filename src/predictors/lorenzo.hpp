@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 
 #include "util/dims.hpp"
 
@@ -89,13 +88,18 @@ inline float predict3_2nd(const float* r, const Dims& d, std::size_t i,
   return pred;
 }
 
-/// L1 loss of first-order Lorenzo applied to the *original* values of one
-/// block (paper Algorithm 1, line 7: selection uses Lorenzo on B, not on
-/// reconstructed data). `off` is the block origin, `bs` the block extent
-/// (clamped by the caller). Out-of-block neighbors read as 0.
-double block_l1_loss_2d(std::span<const float> block, std::size_t bh,
-                        std::size_t bw);
-double block_l1_loss_3d(std::span<const float> block, std::size_t b0,
-                        std::size_t b1, std::size_t b2);
+/// The rank-`R` stencil of order `Order` (1 or 2) at field coordinate
+/// (i, j, k), unused axes 0; for R == 1, `i` is the linear index. Walks fix
+/// R and Order at compile time, so no point pays for either choice.
+template <int R, int Order = 1>
+inline float predict(const float* r, const Dims& d, std::size_t i,
+                     std::size_t j, std::size_t k) {
+  if constexpr (R == 1)
+    return Order == 1 ? predict1(r, i) : predict1_2nd(r, i);
+  else if constexpr (R == 2)
+    return Order == 1 ? predict2(r, d, i, j) : predict2_2nd(r, d, i, j);
+  else
+    return Order == 1 ? predict3(r, d, i, j, k) : predict3_2nd(r, d, i, j, k);
+}
 
 }  // namespace aesz::lorenzo

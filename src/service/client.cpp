@@ -4,15 +4,17 @@
 
 namespace aesz::service {
 
-Expected<std::vector<std::uint8_t>> Client::round_trip_once(
-    std::span<const std::uint8_t> request, Op expected) {
-  if (Status s = transport_->send_frame(request); !s.ok()) return s;
-  auto response = transport_->recv_frame();
-  if (!response.ok()) return response.status();
-  const auto op = peek_op(*response);
+namespace {
+
+/// The one classification of a received frame: a server error frame
+/// becomes its typed status, a frame of any op but `expected` is
+/// kCorruptStream, anything else passes through.
+Expected<std::vector<std::uint8_t>> check_response(
+    std::vector<std::uint8_t> response, Op expected) {
+  const auto op = peek_op(response);
   if (!op.ok()) return op.status();
   if (*op == Op::kErrorResponse) {
-    auto err = parse_error_response(*response);
+    auto err = parse_error_response(response);
     if (!err.ok()) return err.status();
     return Status::error(err->code, "server: " + err->message);
   }
@@ -21,6 +23,38 @@ Expected<std::vector<std::uint8_t>> Client::round_trip_once(
                          std::string("expected ") + op_name(expected) +
                              ", server sent " + op_name(*op));
   return response;
+}
+
+std::vector<std::uint8_t> compress_frame(const std::string& codec,
+                                         const Field& f,
+                                         const ErrorBound& eb) {
+  CompressRequest req;
+  req.codec = codec;
+  req.eb = eb;
+  req.dims = f.dims();
+  req.field = field_blob(f);
+  return encode_compress_request(req);
+}
+
+Expected<Client::CompressResult> finish_compress(
+    Expected<std::vector<std::uint8_t>> response) {
+  if (!response.ok()) return response.status();
+  auto parsed = parse_compress_response(*response);
+  if (!parsed.ok()) return parsed.status();
+  Client::CompressResult out;
+  out.abs_eb = parsed->abs_eb;
+  out.stream.assign(parsed->stream.begin(), parsed->stream.end());
+  return out;
+}
+
+}  // namespace
+
+Expected<std::vector<std::uint8_t>> Client::round_trip_once(
+    std::span<const std::uint8_t> request, Op expected) {
+  if (Status s = transport_->send_frame(request); !s.ok()) return s;
+  auto response = transport_->recv_frame();
+  if (!response.ok()) return response.status();
+  return check_response(std::move(*response), expected);
 }
 
 void Client::maybe_reconnect(const Status& failure) {
@@ -55,20 +89,8 @@ Expected<std::vector<std::uint8_t>> Client::round_trip(
 Expected<Client::CompressResult> Client::compress(const std::string& codec,
                                                   const Field& f,
                                                   const ErrorBound& eb) {
-  CompressRequest req;
-  req.codec = codec;
-  req.eb = eb;
-  req.dims = f.dims();
-  req.field = field_blob(f);
-  const auto frame = encode_compress_request(req);
-  auto response = round_trip(frame, Op::kCompressResponse);
-  if (!response.ok()) return response.status();
-  auto parsed = parse_compress_response(*response);
-  if (!parsed.ok()) return parsed.status();
-  CompressResult out;
-  out.abs_eb = parsed->abs_eb;
-  out.stream.assign(parsed->stream.begin(), parsed->stream.end());
-  return out;
+  return finish_compress(
+      round_trip(compress_frame(codec, f, eb), Op::kCompressResponse));
 }
 
 std::vector<Expected<Client::CompressResult>> Client::compress_many(
@@ -79,12 +101,7 @@ std::vector<Expected<Client::CompressResult>> Client::compress_many(
   std::size_t sent = 0;
   Status send_failure;
   for (const Field* f : fields) {
-    CompressRequest req;
-    req.codec = codec;
-    req.eb = eb;
-    req.dims = f->dims();
-    req.field = field_blob(*f);
-    if (Status s = transport_->send_frame(encode_compress_request(req));
+    if (Status s = transport_->send_frame(compress_frame(codec, *f, eb));
         !s.ok()) {
       send_failure = s;
       break;
@@ -99,27 +116,8 @@ std::vector<Expected<Client::CompressResult>> Client::compress_many(
         out.push_back(response.status());
       return out;
     }
-    const auto op = peek_op(*response);
-    if (!op.ok()) {
-      out.push_back(op.status());
-      continue;
-    }
-    if (*op == Op::kErrorResponse) {
-      auto err = parse_error_response(*response);
-      out.push_back(err.ok() ? Expected<CompressResult>(Status::error(
-                                   err->code, "server: " + err->message))
-                             : Expected<CompressResult>(err.status()));
-      continue;
-    }
-    auto parsed = parse_compress_response(*response);
-    if (!parsed.ok()) {
-      out.push_back(parsed.status());
-      continue;
-    }
-    CompressResult r;
-    r.abs_eb = parsed->abs_eb;
-    r.stream.assign(parsed->stream.begin(), parsed->stream.end());
-    out.push_back(std::move(r));
+    out.push_back(finish_compress(
+        check_response(std::move(*response), Op::kCompressResponse)));
   }
   for (std::size_t i = sent; i < fields.size(); ++i)
     out.push_back(send_failure.ok()

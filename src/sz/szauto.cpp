@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "predictors/blocks.hpp"
 #include "predictors/lorenzo.hpp"
 #include "predictors/quantizer.hpp"
 #include "sz/common.hpp"
@@ -45,6 +46,31 @@ bool second_order_wins(const Field& f) {
   return e2 < e1;
 }
 
+/// The one SZauto traversal, shared by compress and decompress: the whole
+/// field in raster order, rank and stencil order resolved once per call.
+/// `step(idx, pred)` codes or decodes point `idx`; the stencil reads only
+/// already-visited entries of `recon`.
+template <typename StepFn>
+void walk(const Dims& d, bool second_order, const float* recon,
+          StepFn&& step) {
+  const std::size_t off[3] = {0, 0, 0};
+  const std::size_t ext[3] = {d[0], d.rank >= 2 ? d[1] : 1,
+                              d.rank >= 3 ? d[2] : 1};
+  with_rank(d.rank, [&](auto R) {
+    const auto run = [&](auto order) {
+      for_valid(d, off, ext,
+                [&](std::size_t idx, std::size_t i, std::size_t j,
+                    std::size_t k) {
+                  step(idx, lorenzo::predict<R, order>(recon, d, i, j, k));
+                });
+    };
+    if (second_order)
+      run(std::integral_constant<int, 2>{});
+    else
+      run(std::integral_constant<int, 1>{});
+  });
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> SZAuto::compress(const Field& f,
@@ -63,29 +89,9 @@ std::vector<std::uint8_t> SZAuto::compress(const Field& f,
   QuantEncoder enc(abs_eb, d.total());
   prof::StageScope predict_stage(prof::Stage::kPredict);
 
-  auto encode_point = [&](std::size_t idx, float pred) {
+  walk(d, use2nd, recon.data(), [&](std::size_t idx, float pred) {
     recon[idx] = enc.code(src[idx], pred);
-  };
-
-  if (d.rank == 1) {
-    for (std::size_t i = 0; i < d[0]; ++i)
-      encode_point(i, use2nd ? lorenzo::predict1_2nd(recon.data(), i)
-                             : lorenzo::predict1(recon.data(), i));
-  } else if (d.rank == 2) {
-    for (std::size_t i = 0; i < d[0]; ++i)
-      for (std::size_t j = 0; j < d[1]; ++j)
-        encode_point(lin2(d, i, j),
-                     use2nd ? lorenzo::predict2_2nd(recon.data(), d, i, j)
-                            : lorenzo::predict2(recon.data(), d, i, j));
-  } else {
-    for (std::size_t i = 0; i < d[0]; ++i)
-      for (std::size_t j = 0; j < d[1]; ++j)
-        for (std::size_t k = 0; k < d[2]; ++k)
-          encode_point(lin3(d, i, j, k),
-                       use2nd
-                           ? lorenzo::predict3_2nd(recon.data(), d, i, j, k)
-                           : lorenzo::predict3(recon.data(), d, i, j, k));
-  }
+  });
 
   predict_stage.stop();
   enc.write(w);
@@ -107,28 +113,8 @@ Field SZAuto::decompress_impl(std::span<const std::uint8_t> stream) {
   Field out(d);
   float* recon = out.data();
 
-  auto decode_point = [&](std::size_t idx, float pred) {
-    recon[idx] = dec.next(pred);
-  };
-
-  if (d.rank == 1) {
-    for (std::size_t i = 0; i < d[0]; ++i)
-      decode_point(i, use2nd ? lorenzo::predict1_2nd(recon, i)
-                             : lorenzo::predict1(recon, i));
-  } else if (d.rank == 2) {
-    for (std::size_t i = 0; i < d[0]; ++i)
-      for (std::size_t j = 0; j < d[1]; ++j)
-        decode_point(lin2(d, i, j),
-                     use2nd ? lorenzo::predict2_2nd(recon, d, i, j)
-                            : lorenzo::predict2(recon, d, i, j));
-  } else {
-    for (std::size_t i = 0; i < d[0]; ++i)
-      for (std::size_t j = 0; j < d[1]; ++j)
-        for (std::size_t k = 0; k < d[2]; ++k)
-          decode_point(lin3(d, i, j, k),
-                       use2nd ? lorenzo::predict3_2nd(recon, d, i, j, k)
-                              : lorenzo::predict3(recon, d, i, j, k));
-  }
+  walk(d, use2nd, recon,
+       [&](std::size_t idx, float pred) { recon[idx] = dec.next(pred); });
   return out;
 }
 

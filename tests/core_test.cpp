@@ -6,7 +6,9 @@
 #include "core/aesz.hpp"
 #include "core/latent_codec.hpp"
 #include "data/synth.hpp"
+#include "lossless/lz.hpp"
 #include "metrics/metrics.hpp"
+#include "sz/common.hpp"
 
 namespace aesz {
 namespace {
@@ -289,6 +291,48 @@ TEST_F(AESZFixture, FingerprintMismatchIsTypedError) {
   auto result = fresh.decompress(stream);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code, ErrCode::kModelMismatch);
+}
+
+TEST(AESZ, ExtraMeanIsCorruptStream) {
+  // An untrained model restricted to Lorenzo and mean blocks; the
+  // constant patch makes block 0 a mean block.
+  AESZ::Options opt;
+  opt.ae.block = 8;
+  opt.ae.latent = 4;
+  opt.ae.channels = {4};
+  opt.policy = AESZ::Policy::kLorenzoOnly;
+  AESZ c(opt, 11);
+  Field f = synth::value_noise_2d(20, 20, 3, 4.0, 325);
+  for (std::size_t i = 0; i < 8; ++i)
+    for (std::size_t j = 0; j < 8; ++j) f.at2(i, j) = 0.25f;
+  const auto stream = c.compress(f, ErrorBound::Abs(1e-3));
+  ASSERT_GT(c.last_stats().blocks_mean, 0u);
+  ASSERT_TRUE(c.decompress(stream).ok());
+  // Reseal the stream with one more value in its means blob.
+  ByteReader r(stream);
+  ASSERT_TRUE(sz::read_header(r, AESZ::kStreamMagic).ok());
+  r.get<float>();
+  r.get<float>();
+  r.get<std::uint64_t>();
+  r.get_varint();
+  r.get_varint();
+  r.get_blob();  // block flags
+  r.get_blob();  // latents
+  const std::size_t means_at = r.pos();
+  const auto mean_bytes = lz::decompress(r.get_blob());
+  ByteReader mr(mean_bytes);
+  auto means = mr.get_array<float>();
+  means.push_back(0.5f);
+  ByteWriter mw;
+  mw.put_array<float>(means);
+  ByteWriter w;
+  w.put_bytes(std::span(stream).first(means_at));
+  w.put_blob(lz::compress(mw.bytes()));
+  w.put_bytes(r.rest());
+  auto result = c.decompress(sz::seal_stream(w.take()));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code, ErrCode::kCorruptStream)
+      << result.status().str();
 }
 
 TEST_F(AESZFixture, RejectsRankMismatch) {

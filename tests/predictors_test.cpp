@@ -3,6 +3,7 @@
 #include <cmath>
 #include <vector>
 
+#include "predictors/blocks.hpp"
 #include "predictors/lorenzo.hpp"
 #include "predictors/quantizer.hpp"
 #include "util/rng.hpp"
@@ -108,20 +109,18 @@ TEST(Lorenzo, SecondOrderFallsBackNearBorder) {
 
 TEST(Lorenzo, BlockL1LossZeroOnLinear) {
   const std::size_t bh = 6, bw = 6;
-  std::vector<float> blk(bh * bw);
-  for (std::size_t i = 0; i < bh; ++i)
-    for (std::size_t j = 0; j < bw; ++j)
-      blk[i * bw + j] = 0.25f * i - 0.5f * j;
+  Field f(Dims(bh + 2, bw + 3));  // block 0 of a 6-point split
+  for (std::size_t i = 0; i < f.dims()[0]; ++i)
+    for (std::size_t j = 0; j < f.dims()[1]; ++j)
+      f.at2(i, j) = 0.25f * i - 0.5f * j;
   // Interior is exact; the zero-padded border contributes the loss.
-  const double loss = lorenzo::block_l1_loss_2d(blk, bh, bw);
+  const double loss = block_l1_lorenzo(f, make_block_split(f.dims(), bh), 0);
   double border = 0.0;
-  const Dims d(bh, bw);
+  const float* v = f.data();
   for (std::size_t j = 0; j < bw; ++j)
-    border +=
-        std::abs(blk[j] - lorenzo::predict2(blk.data(), d, 0, j));
+    border += std::abs(f.at2(0, j) - lorenzo::predict2(v, f.dims(), 0, j));
   for (std::size_t i = 1; i < bh; ++i)
-    border +=
-        std::abs(blk[i * bw] - lorenzo::predict2(blk.data(), d, i, 0));
+    border += std::abs(f.at2(i, 0) - lorenzo::predict2(v, f.dims(), i, 0));
   EXPECT_NEAR(loss, border, 1e-4);
 }
 

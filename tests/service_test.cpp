@@ -307,6 +307,30 @@ TEST(TcpTransport, FrameRoundTripAndShutdown) {
   EXPECT_EQ(client->recv_frame().status().code, ErrCode::kIoError);
 }
 
+TEST(Client, WrongOpReplyIsCorruptStreamForSoloAndPipelinedCompress) {
+  // A peer that answers every compress with a decompress-response frame.
+  auto [client_end, peer] = transport_pair();
+  const Field f = field_for_rank(2);
+  std::thread fake([&, &peer = peer] {
+    const auto reply = svc::encode_decompress_response(
+        {f.dims(), field_bytes(f)});
+    for (int i = 0; i < 2; ++i) {
+      if (!peer->recv_frame().ok()) return;
+      (void)peer->send_frame(reply);
+    }
+  });
+  svc::Client client(*client_end);
+  auto solo = client.compress("SZ2.1", f, ErrorBound::Abs(1e-2));
+  auto many = client.compress_many("SZ2.1", {&f}, ErrorBound::Abs(1e-2));
+  fake.join();
+  ASSERT_FALSE(solo.ok());
+  EXPECT_EQ(solo.status().code, ErrCode::kCorruptStream) << solo.status().str();
+  ASSERT_EQ(many.size(), 1u);
+  ASSERT_FALSE(many[0].ok());
+  EXPECT_EQ(many[0].status().code, ErrCode::kCorruptStream)
+      << many[0].status().str();
+}
+
 TEST(TcpTransport, HostileLengthPrefixIsRejectedBeforeAllocation) {
   auto [client, server] = transport_pair();
   // Declared frame length 0xFFFFFFFF (4 GiB) > kMaxFrameBytes: recv must

@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "data/synth.hpp"
+#include "lossless/lz.hpp"
 #include "metrics/metrics.hpp"
 #include "sz/common.hpp"
 #include "sz/sz21.hpp"
@@ -123,6 +124,36 @@ TEST(SZ21, RejectsZeroBound) {
   SZ21 c;
   Field f(Dims(8, 8), 1.0f);
   EXPECT_THROW((void)c.compress(f, 0.0), Error);
+}
+
+TEST(SZ21, ExtraRegressionCoefficientIsCorruptStream) {
+  // Tilted planes, so some blocks carry regression coefficients.
+  Field f(Dims(40, 40));
+  for (std::size_t i = 0; i < 40; ++i)
+    for (std::size_t j = 0; j < 40; ++j)
+      f.at2(i, j) = 0.3f * static_cast<float>(i) +
+                    0.7f * static_cast<float>(j) +
+                    static_cast<float>((i * 31 + j * 17) % 7) * 0.01f;
+  SZ21 c;
+  const auto stream = c.compress(f, ErrorBound::Abs(1e-3));
+  ASSERT_TRUE(c.decompress(stream).ok());
+  // Reseal the stream with one more coefficient (varint 0) in its blob.
+  ByteReader r(stream);
+  ASSERT_TRUE(sz::read_header(r, SZ21::kStreamMagic).ok());
+  const std::size_t header_end = r.pos();
+  const auto flag_blob = r.get_blob();
+  auto coeffs = lz::decompress(r.get_blob());
+  ASSERT_FALSE(coeffs.empty());
+  coeffs.push_back(0);
+  ByteWriter w;
+  w.put_bytes(std::span(stream).first(header_end));
+  w.put_blob(flag_blob);
+  w.put_blob(lz::compress(coeffs));
+  w.put_bytes(r.rest());
+  auto result = c.decompress(sz::seal_stream(w.take()));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code, ErrCode::kCorruptStream)
+      << result.status().str();
 }
 
 TEST(SZ21, RejectsForeignStream) {
