@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <functional>
+#include <string>
+#include <vector>
 
 #include "ae_baselines/ae_b.hpp"
 #include "nn/conv.hpp"
@@ -73,22 +75,61 @@ void gradcheck_layer(Layer& layer, std::vector<std::size_t> in_shape,
   }
 }
 
+/// One gradcheck input for a convolution layer: its geometry, its input
+/// shape and the two seeds. Besides the square/cubic k=3, pad=1 inputs,
+/// the tables hold non-square (H != W, D != H != W) inputs, k=2 with pad 0
+/// and stride 2 over odd extents, so a kernel that mixes up two axis
+/// extents or mishandles an uneven window fails.
+struct ConvCase {
+  std::size_t in_c, out_c, k, stride, pad, out_pad;
+  std::vector<std::size_t> shape;
+  std::uint64_t layer_seed, data_seed;
+};
+
+template <class MakeLayer>
+void gradcheck_conv(const std::vector<ConvCase>& cases, MakeLayer make) {
+  for (const ConvCase& c : cases) {
+    SCOPED_TRACE(::testing::PrintToString(c.shape) + " k=" +
+                 std::to_string(c.k) + " stride=" + std::to_string(c.stride) +
+                 " pad=" + std::to_string(c.pad));
+    Rng rng(c.layer_seed);
+    auto l = make(c, rng);
+    gradcheck_layer(l, c.shape, c.data_seed);
+  }
+}
+
+Conv2d conv2d(const ConvCase& c, Rng& rng) {
+  return Conv2d(c.in_c, c.out_c, c.k, c.stride, c.pad, rng);
+}
+ConvT2d convt2d(const ConvCase& c, Rng& rng) {
+  return ConvT2d(c.in_c, c.out_c, c.k, c.stride, c.pad, c.out_pad, rng);
+}
+Conv3d conv3d(const ConvCase& c, Rng& rng) {
+  return Conv3d(c.in_c, c.out_c, c.k, c.stride, c.pad, rng);
+}
+ConvT3d convt3d(const ConvCase& c, Rng& rng) {
+  return ConvT3d(c.in_c, c.out_c, c.k, c.stride, c.pad, c.out_pad, rng);
+}
+
 TEST(GradCheck, Conv2dStride1) {
-  Rng rng(1);
-  Conv2d l(2, 3, 3, 1, 1, rng);
-  gradcheck_layer(l, {2, 2, 6, 6}, 101);
+  gradcheck_conv({{2, 3, 3, 1, 1, 0, {2, 2, 6, 6}, 1, 101},
+                  {2, 3, 3, 1, 1, 0, {2, 2, 5, 7}, 11, 121},
+                  {2, 3, 2, 1, 0, 0, {1, 2, 4, 7}, 12, 122}},
+                 conv2d);
 }
 
 TEST(GradCheck, Conv2dStride2) {
-  Rng rng(2);
-  Conv2d l(2, 4, 3, 2, 1, rng);
-  gradcheck_layer(l, {2, 2, 8, 8}, 102);
+  gradcheck_conv({{2, 4, 3, 2, 1, 0, {2, 2, 8, 8}, 2, 102},
+                  {2, 3, 3, 2, 1, 0, {1, 2, 7, 5}, 21, 123},
+                  {2, 3, 2, 2, 0, 0, {1, 2, 5, 9}, 22, 124}},
+                 conv2d);
 }
 
 TEST(GradCheck, ConvT2dStride1) {
-  Rng rng(3);
-  ConvT2d l(3, 2, 3, 1, 1, 0, rng);
-  gradcheck_layer(l, {2, 3, 5, 5}, 103);
+  gradcheck_conv({{3, 2, 3, 1, 1, 0, {2, 3, 5, 5}, 3, 103},
+                  {3, 2, 3, 1, 1, 0, {2, 3, 4, 6}, 31, 125},
+                  {2, 3, 2, 1, 0, 0, {1, 2, 3, 5}, 32, 126}},
+                 convt2d);
 }
 
 TEST(GradCheck, ConvT2dStride2Upsamples) {
@@ -98,19 +139,24 @@ TEST(GradCheck, ConvT2dStride2Upsamples) {
   Tensor y = l.forward(x, false);
   ASSERT_EQ(y.dim(2), 8u);  // exact doubling
   ASSERT_EQ(y.dim(3), 8u);
-  gradcheck_layer(l, {2, 3, 4, 4}, 104);
+  gradcheck_conv({{3, 2, 3, 2, 1, 1, {2, 3, 4, 4}, 4, 104},
+                  {3, 2, 3, 2, 1, 1, {1, 3, 3, 5}, 41, 127},
+                  {2, 2, 2, 2, 0, 0, {1, 2, 5, 3}, 42, 128}},
+                 convt2d);
 }
 
 TEST(GradCheck, Conv3dStride1) {
-  Rng rng(5);
-  Conv3d l(1, 2, 3, 1, 1, rng);
-  gradcheck_layer(l, {2, 1, 4, 4, 4}, 105);
+  gradcheck_conv({{1, 2, 3, 1, 1, 0, {2, 1, 4, 4, 4}, 5, 105},
+                  {2, 2, 3, 1, 1, 0, {1, 2, 3, 4, 5}, 51, 129},
+                  {1, 2, 2, 1, 0, 0, {1, 1, 5, 3, 4}, 52, 130}},
+                 conv3d);
 }
 
 TEST(GradCheck, Conv3dStride2) {
-  Rng rng(6);
-  Conv3d l(2, 2, 3, 2, 1, rng);
-  gradcheck_layer(l, {1, 2, 6, 6, 6}, 106);
+  gradcheck_conv({{2, 2, 3, 2, 1, 0, {1, 2, 6, 6, 6}, 6, 106},
+                  {1, 2, 3, 2, 1, 0, {1, 1, 5, 7, 3}, 61, 131},
+                  {1, 2, 2, 2, 0, 0, {1, 1, 3, 5, 7}, 62, 132}},
+                 conv3d);
 }
 
 TEST(GradCheck, ConvT3dStride2Upsamples) {
@@ -119,13 +165,17 @@ TEST(GradCheck, ConvT3dStride2Upsamples) {
   Tensor x({1, 2, 3, 3, 3});
   Tensor y = l.forward(x, false);
   ASSERT_EQ(y.dim(2), 6u);
-  gradcheck_layer(l, {1, 2, 3, 3, 3}, 107);
+  gradcheck_conv({{2, 1, 3, 2, 1, 1, {1, 2, 3, 3, 3}, 7, 107},
+                  {1, 2, 3, 2, 1, 1, {1, 1, 3, 5, 1}, 71, 133},
+                  {2, 1, 2, 2, 0, 0, {1, 2, 3, 1, 5}, 72, 134}},
+                 convt3d);
 }
 
 TEST(GradCheck, ConvT3dStride1) {
-  Rng rng(8);
-  ConvT3d l(2, 2, 3, 1, 1, 0, rng);
-  gradcheck_layer(l, {1, 2, 4, 4, 4}, 108);
+  gradcheck_conv({{2, 2, 3, 1, 1, 0, {1, 2, 4, 4, 4}, 8, 108},
+                  {2, 2, 3, 1, 1, 0, {1, 2, 3, 4, 5}, 81, 135},
+                  {2, 1, 2, 1, 0, 0, {1, 2, 4, 3, 5}, 82, 136}},
+                 convt3d);
 }
 
 TEST(GradCheck, Linear) {
