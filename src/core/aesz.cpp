@@ -365,10 +365,12 @@ Field AESZ::decompress_impl(std::span<const std::uint8_t> stream) {
 
   // Flags.
   const auto packed = lz::decompress(r.get_blob());
-  AESZ_CHECK_STREAM(packed.size() >= (split.total + 3) / 4, "bad flag blob");
+  AESZ_CHECK_STREAM(packed.size() == (split.total + 3) / 4, "bad flag blob");
   std::vector<std::uint8_t> flags(split.total);
-  for (std::size_t i = 0; i < split.total; ++i)
+  for (std::size_t i = 0; i < split.total; ++i) {
     flags[i] = (packed[i >> 2] >> ((i & 3) * 2)) & 3;
+    AESZ_CHECK_STREAM(flags[i] <= kAE, "bad block flag");
+  }
 
   // Latents -> AE predictions for AE-flagged blocks.
   const auto zd = latent_codec::decode(r.get_blob());

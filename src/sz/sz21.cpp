@@ -196,7 +196,7 @@ Field SZ21::decompress_impl(std::span<const std::uint8_t> stream) {
 
   const auto packed = lz::decompress(r.get_blob());
   std::vector<std::uint8_t> flags(split.total, 0);
-  AESZ_CHECK_STREAM(packed.size() >= (split.total + 7) / 8, "bad flag blob");
+  AESZ_CHECK_STREAM(packed.size() == (split.total + 7) / 8, "bad flag blob");
   for (std::size_t i = 0; i < split.total; ++i)
     flags[i] = (packed[i >> 3] >> (i & 7)) & 1;
 

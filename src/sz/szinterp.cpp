@@ -175,6 +175,8 @@ Field SZInterp::decompress_impl(std::span<const std::uint8_t> stream) {
         recon[idx] = anchors[ai++];
       },
       [&](std::size_t idx, float pred) { recon[idx] = dec.next(pred); });
+  AESZ_CHECK_STREAM(ai == anchors.size() && ar.eof(),
+                    "anchor count != anchor-point count");
   return out;
 }
 

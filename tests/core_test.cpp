@@ -335,6 +335,58 @@ TEST(AESZ, ExtraMeanIsCorruptStream) {
       << result.status().str();
 }
 
+/// Reseals an untrained Lorenzo/mean AE-SZ stream (see
+/// ExtraMeanIsCorruptStream) with its packed block-flag blob passed through
+/// `edit`, and returns the decode's error code (kOk if it decodes).
+template <class Edit>
+ErrCode decode_with_edited_flags(Edit edit) {
+  AESZ::Options opt;
+  opt.ae.block = 8;
+  opt.ae.latent = 4;
+  opt.ae.channels = {4};
+  opt.policy = AESZ::Policy::kLorenzoOnly;
+  AESZ c(opt, 11);
+  Field f = synth::value_noise_2d(20, 20, 3, 4.0, 325);
+  for (std::size_t i = 0; i < 8; ++i)
+    for (std::size_t j = 0; j < 8; ++j) f.at2(i, j) = 0.25f;
+  const auto stream = c.compress(f, ErrorBound::Abs(1e-3));
+  EXPECT_TRUE(c.decompress(stream).ok());
+  ByteReader r(stream);
+  EXPECT_TRUE(sz::read_header(r, AESZ::kStreamMagic).ok());
+  r.get<float>();
+  r.get<float>();
+  r.get<std::uint64_t>();
+  r.get_varint();
+  r.get_varint();
+  const std::size_t flags_at = r.pos();
+  auto flags = lz::decompress(r.get_blob());
+  edit(flags);
+  ByteWriter w;
+  w.put_bytes(std::span(stream).first(flags_at));
+  w.put_blob(lz::compress(flags));
+  w.put_bytes(r.rest());
+  auto result = c.decompress(sz::seal_stream(w.take()));
+  return result.ok() ? ErrCode::kOk : result.status().code;
+}
+
+TEST(AESZ, ExtraFlagByteIsCorruptStream) {
+  EXPECT_EQ(decode_with_edited_flags(
+                [](std::vector<std::uint8_t>& packed) { packed.push_back(0); }),
+            ErrCode::kCorruptStream);
+}
+
+TEST(AESZ, FlagValueThreeIsCorruptStream) {
+  // Block 0 is the mean block; 2 bits per block, so the last block's flag
+  // (a Lorenzo block, 0) sits in the top bits of the last byte. 3 is not a
+  // BlockFlag.
+  EXPECT_EQ(decode_with_edited_flags([](std::vector<std::uint8_t>& packed) {
+              const std::size_t last = 3 * 3 - 1;  // 20x20 in 8x8 blocks
+              ASSERT_EQ((packed[last >> 2] >> ((last & 3) * 2)) & 3, 0);
+              packed[last >> 2] |= static_cast<std::uint8_t>(3u << ((last & 3) * 2));
+            }),
+            ErrCode::kCorruptStream);
+}
+
 TEST_F(AESZFixture, RejectsRankMismatch) {
   Field f3(Dims(8, 8, 8), 1.0f);
   EXPECT_THROW((void)codec_->compress(f3, 1e-2), Error);

@@ -87,6 +87,21 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{2, 1e-2}, Case{2, 1e-4}, Case{3, 1e-3},
                       Case{4, 1e-2}, Case{5, 1e-3}, Case{1, 1e-1}));
 
+/// Reseals `stream` with the lz blob that starts at byte `at` decompressed,
+/// passed through `edit` and recompressed.
+template <class Edit>
+std::vector<std::uint8_t> reseal_blob(std::span<const std::uint8_t> stream,
+                                      std::size_t at, Edit edit) {
+  ByteReader r(stream.subspan(at));
+  auto bytes = lz::decompress(r.get_blob());
+  edit(bytes);
+  ByteWriter w;
+  w.put_bytes(stream.first(at));
+  w.put_blob(lz::compress(bytes));
+  w.put_bytes(r.rest());
+  return sz::seal_stream(w.take());
+}
+
 TEST(SZ21, CompressesSmoothFieldWell) {
   SZ21 c;
   Field f = synth::cesm_freqsh(128, 128, 50);
@@ -156,6 +171,22 @@ TEST(SZ21, ExtraRegressionCoefficientIsCorruptStream) {
       << result.status().str();
 }
 
+TEST(SZ21, ExtraFlagByteIsCorruptStream) {
+  Field f = make_field(1);
+  SZ21 c;
+  const auto stream = c.compress(f, ErrorBound::Abs(1e-3));
+  ASSERT_TRUE(c.decompress(stream).ok());
+  ByteReader r(stream);
+  ASSERT_TRUE(sz::read_header(r, SZ21::kStreamMagic).ok());
+  auto result = c.decompress(reseal_blob(
+      stream, r.pos(), [](std::vector<std::uint8_t>& flags) {
+        flags.push_back(0);
+      }));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code, ErrCode::kCorruptStream)
+      << result.status().str();
+}
+
 TEST(SZ21, RejectsForeignStream) {
   SZAuto other;
   Field f = make_field(1);
@@ -183,6 +214,30 @@ TEST(SZAuto, PicksSecondOrderOnQuadratic) {
   // dominated by recon-feedback quantization noise (sum |w| ~ 63), so the
   // ratio is solid but far from the lossless regime.
   EXPECT_GT(metrics::compression_ratio(f.size(), stream.size()), 4.0);
+}
+
+TEST(SZInterp, ExtraAnchorIsCorruptStream) {
+  Field f = synth::value_noise_2d(40, 40, 3, 4.0, 17);
+  SZInterp c;
+  const auto stream = c.compress(f, ErrorBound::Abs(1e-3));
+  ASSERT_TRUE(c.decompress(stream).ok());
+  // Reseal the stream with one more value in its anchor blob.
+  ByteReader r(stream);
+  ASSERT_TRUE(sz::read_header(r, SZInterp::kStreamMagic).ok());
+  r.get_varint();          // refinement stride
+  r.get<std::uint8_t>();   // cubic flag
+  auto result = c.decompress(reseal_blob(
+      stream, r.pos(), [](std::vector<std::uint8_t>& bytes) {
+        ByteReader ar(bytes);
+        auto anchors = ar.get_array<float>();
+        anchors.push_back(0.5f);
+        ByteWriter aw;
+        aw.put_array<float>(anchors);
+        bytes = aw.bytes();
+      }));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code, ErrCode::kCorruptStream)
+      << result.status().str();
 }
 
 TEST(SZInterp, LinearModeStillBounded) {
