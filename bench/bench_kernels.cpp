@@ -192,7 +192,7 @@ void bench_gemm(std::vector<bench::JsonObj>& rows) {
 using cidx = std::ptrdiff_t;
 using nn::detail::out_range;  // same window math as the kernel under test
 
-/// The pre-PR Conv2d::forward loop nest (hoisted-tap AXPY), one sample.
+/// The direct convolution loop nest (hoisted-tap AXPY), one sample.
 void naive_conv(const float* xp, std::size_t in_c, std::size_t h,
                 std::size_t w, const float* wp, std::size_t out_c,
                 std::size_t k, std::size_t stride, std::size_t pad,
@@ -242,8 +242,9 @@ void bench_conv(std::vector<bench::JsonObj>& rows) {
 
   const double t_gemm = best_seconds([&] {
     for (std::size_t s = 0; s < samples; ++s)
-      nn::conv2d_forward(x.data(), in_c, h, w, wt.data(), out_c, k, stride,
-                         pad, bias.data(), y1.data(), oh, ow);
+      nn::conv2d_forward_batched(x.data(), 1, in_c, h, w, wt.data(), out_c,
+                                 k, stride, pad, bias.data(), y1.data(), oh,
+                                 ow);
   });
   const double t_naive = best_seconds([&] {
     for (std::size_t s = 0; s < samples; ++s)

@@ -13,8 +13,8 @@ constexpr std::uint32_t kMagic = AEB::kStreamMagic;
 }  // namespace
 
 ResBlock3d::ResBlock3d(std::size_t channels, Rng& rng)
-    : conv1_(channels, channels, 3, 1, 1, rng),
-      conv2_(channels, channels, 3, 1, 1, rng), relu_(0.0f) {}
+    : conv1_(3, channels, channels, 3, 1, 1, rng),
+      conv2_(3, channels, channels, 3, 1, 1, rng), relu_(0.0f) {}
 
 nn::Tensor ResBlock3d::forward(const nn::Tensor& x, bool train) {
   nn::Tensor h = conv1_.forward(x, train);
@@ -45,24 +45,26 @@ AEB::AEB(Options opt, std::uint64_t seed) : opt_(std::move(opt)) {
   const std::size_t wdt = opt_.width;
   // Encoder: lift to `width` channels, then two [res..., stride-2] stages
   // (4x spatial reduction per axis = 64x in 3-D) ending at 1 channel.
-  enc_.push_back(std::make_unique<nn::Conv3d>(1, wdt, 3, 1, 1, rng));
+  enc_.push_back(std::make_unique<nn::Conv>(3, 1, wdt, 3, 1, 1, rng));
   for (std::size_t i = 0; i < opt_.res_blocks; ++i)
     enc_.push_back(std::make_unique<ResBlock3d>(wdt, rng));
-  enc_.push_back(std::make_unique<nn::Conv3d>(wdt, 2 * wdt, 3, 2, 1, rng));
+  enc_.push_back(std::make_unique<nn::Conv>(3, wdt, 2 * wdt, 3, 2, 1, rng));
   for (std::size_t i = 0; i < opt_.res_blocks; ++i)
     enc_.push_back(std::make_unique<ResBlock3d>(2 * wdt, rng));
-  enc_.push_back(std::make_unique<nn::Conv3d>(2 * wdt, 2 * wdt, 3, 2, 1, rng));
-  enc_.push_back(std::make_unique<nn::Conv3d>(2 * wdt, 1, 3, 1, 1, rng));
+  enc_.push_back(
+      std::make_unique<nn::Conv>(3, 2 * wdt, 2 * wdt, 3, 2, 1, rng));
+  enc_.push_back(std::make_unique<nn::Conv>(3, 2 * wdt, 1, 3, 1, 1, rng));
 
-  dec_.push_back(std::make_unique<nn::Conv3d>(1, 2 * wdt, 3, 1, 1, rng));
+  dec_.push_back(std::make_unique<nn::Conv>(3, 1, 2 * wdt, 3, 1, 1, rng));
   dec_.push_back(
-      std::make_unique<nn::ConvT3d>(2 * wdt, 2 * wdt, 3, 2, 1, 1, rng));
+      std::make_unique<nn::ConvT>(3, 2 * wdt, 2 * wdt, 3, 2, 1, 1, rng));
   for (std::size_t i = 0; i < opt_.res_blocks; ++i)
     dec_.push_back(std::make_unique<ResBlock3d>(2 * wdt, rng));
-  dec_.push_back(std::make_unique<nn::ConvT3d>(2 * wdt, wdt, 3, 2, 1, 1, rng));
+  dec_.push_back(
+      std::make_unique<nn::ConvT>(3, 2 * wdt, wdt, 3, 2, 1, 1, rng));
   for (std::size_t i = 0; i < opt_.res_blocks; ++i)
     dec_.push_back(std::make_unique<ResBlock3d>(wdt, rng));
-  dec_.push_back(std::make_unique<nn::Conv3d>(wdt, 1, 3, 1, 1, rng));
+  dec_.push_back(std::make_unique<nn::Conv>(3, wdt, 1, 3, 1, 1, rng));
   dec_.push_back(std::make_unique<nn::Tanh>());
 
   const std::size_t lt = opt_.block / 4;

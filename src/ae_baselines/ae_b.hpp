@@ -68,7 +68,7 @@ class ResBlock3d final : public nn::Layer {
   std::vector<nn::Param*> params() override;
 
  private:
-  nn::Conv3d conv1_, conv2_;
+  nn::Conv conv1_, conv2_;
   nn::LeakyReLU relu_;
 };
 

@@ -32,13 +32,8 @@ ConvAutoencoder::ConvAutoencoder(AEConfig cfg, std::uint64_t seed)
   std::size_t prev = 1;
   for (std::size_t b = 0; b < nb; ++b) {
     const std::size_t c = cfg_.channels[b];
-    if (cfg_.rank == 2) {
-      enc_.push_back(std::make_unique<Conv2d>(prev, c, 3, 1, 1, rng));
-      enc_.push_back(std::make_unique<Conv2d>(c, c, 3, 2, 1, rng));
-    } else {
-      enc_.push_back(std::make_unique<Conv3d>(prev, c, 3, 1, 1, rng));
-      enc_.push_back(std::make_unique<Conv3d>(c, c, 3, 2, 1, rng));
-    }
+    enc_.push_back(std::make_unique<Conv>(cfg_.rank, prev, c, 3, 1, 1, rng));
+    enc_.push_back(std::make_unique<Conv>(cfg_.rank, c, c, 3, 2, 1, rng));
     enc_.push_back(make_act(c, /*inverse=*/false, rng));
     prev = c;
   }
@@ -51,22 +46,14 @@ ConvAutoencoder::ConvAutoencoder(AEConfig cfg, std::uint64_t seed)
   for (std::size_t b = nb; b-- > 0;) {
     const std::size_t c = cfg_.channels[b];
     const std::size_t cnext = b > 0 ? cfg_.channels[b - 1] : cfg_.channels[0];
-    if (cfg_.rank == 2) {
-      dec_.push_back(std::make_unique<ConvT2d>(c, c, 3, 1, 1, 0, rng));
-      dec_.push_back(std::make_unique<ConvT2d>(c, cnext, 3, 2, 1, 1, rng));
-    } else {
-      dec_.push_back(std::make_unique<ConvT3d>(c, c, 3, 1, 1, 0, rng));
-      dec_.push_back(std::make_unique<ConvT3d>(c, cnext, 3, 2, 1, 1, rng));
-    }
+    dec_.push_back(
+        std::make_unique<ConvT>(cfg_.rank, c, c, 3, 1, 1, 0, rng));
+    dec_.push_back(
+        std::make_unique<ConvT>(cfg_.rank, c, cnext, 3, 2, 1, 1, rng));
     dec_.push_back(make_act(cnext, /*inverse=*/true, rng));
   }
-  if (cfg_.rank == 2) {
-    dec_.push_back(
-        std::make_unique<Conv2d>(cfg_.channels[0], 1, 3, 1, 1, rng));
-  } else {
-    dec_.push_back(
-        std::make_unique<Conv3d>(cfg_.channels[0], 1, 3, 1, 1, rng));
-  }
+  dec_.push_back(
+      std::make_unique<Conv>(cfg_.rank, cfg_.channels[0], 1, 3, 1, 1, rng));
   dec_.push_back(std::make_unique<Tanh>());
 }
 

@@ -214,7 +214,7 @@ using idx = std::ptrdiff_t;
 using detail::out_range;
 
 /// Scratch for the batched kernels' sample-interleaved matrices (the
-/// column matrix lives in tl_col, as for the per-sample kernels).
+/// column matrix lives in tl_col).
 thread_local std::vector<float> tl_batch;
 
 /// im2col of ONE sample into a column matrix shared by a sample group:
@@ -308,27 +308,6 @@ std::size_t conv_group_size(std::size_t per_sample_floats) {
 
 }  // namespace
 
-void conv2d_forward(const float* x, std::size_t in_c, std::size_t h,
-                    std::size_t w, const float* wgt, std::size_t out_c,
-                    std::size_t kk, std::size_t stride, std::size_t pad,
-                    const float* bias, float* y, std::size_t oh,
-                    std::size_t ow) {
-  const std::size_t kdim = in_c * kk * kk;  // gemm depth
-  const std::size_t ncols = oh * ow;
-  tl_col.resize(kdim * ncols);
-  float* col = tl_col.data();
-  im2col_2d(x, in_c, h, w, kk, stride, pad, oh, ow, col, ncols, 0);
-
-  // y = wgt (out_c x kdim) * col (+ bias broadcast per output channel).
-  for (std::size_t oc = 0; oc < out_c; ++oc) {
-    const float bv = bias ? bias[oc] : 0.0f;
-    float* yrow = y + oc * ncols;
-    for (std::size_t i = 0; i < ncols; ++i) yrow[i] = bv;
-  }
-  sgemm(false, false, out_c, ncols, kdim, wgt, kdim, col, ncols, 1.0f, y,
-        ncols);
-}
-
 void conv2d_forward_batched(const float* x, std::size_t n, std::size_t in_c,
                             std::size_t h, std::size_t w, const float* wgt,
                             std::size_t out_c, std::size_t kk,
@@ -351,7 +330,7 @@ void conv2d_forward_batched(const float* x, std::size_t n, std::size_t in_c,
     // Samples side by side along the column dimension: one packed weight
     // panel then serves the whole group. Column position does not change
     // any element's accumulation order, so each sample's result is
-    // bitwise what a solo conv2d_forward would produce.
+    // bitwise what a group of one would produce.
 #pragma omp parallel for schedule(static)
     for (idx gi = 0; gi < static_cast<idx>(gn); ++gi) {
       const auto ug = static_cast<std::size_t>(gi);
@@ -373,23 +352,6 @@ void conv2d_forward_batched(const float* x, std::size_t n, std::size_t in_c,
                     buf + oc * ld + ug * ncols, ncols * sizeof(float));
     }
   }
-}
-
-void convt2d_forward(const float* x, std::size_t in_c, std::size_t h,
-                     std::size_t w, const float* wgt, std::size_t out_c,
-                     std::size_t kk, std::size_t stride, std::size_t pad,
-                     const float* bias, float* y, std::size_t oh,
-                     std::size_t ow) {
-  const std::size_t kdim = out_c * kk * kk;
-  const std::size_t ncols = h * w;
-  tl_col.resize(kdim * ncols);
-  float* col = tl_col.data();
-
-  // colmat (kdim x h*w) = wgt^T (kdim x in_c) * x (in_c x h*w); the stored
-  // weight is (in_c, out_c*kk*kk), so trans_a with lda = kdim.
-  sgemm(true, false, kdim, ncols, in_c, wgt, kdim, x, ncols, 0.0f, col,
-        ncols);
-  col2im_2d(col, ncols, 0, out_c, h, w, kk, stride, pad, bias, y, oh, ow);
 }
 
 void convt2d_forward_batched(const float* x, std::size_t n, std::size_t in_c,

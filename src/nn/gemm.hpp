@@ -37,39 +37,21 @@ void sgemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
            std::size_t k, const float* a, std::size_t lda, const float* b,
            std::size_t ldb, float beta, float* c, std::size_t ldc);
 
-/// Conv2d forward for one image via im2col + sgemm.
-///   x    (in_c, h, w), NCHW plane of one sample
+/// Rank-2 convolution forward via im2col + sgemm, n samples in NCHW layout:
+///   x    (n, in_c, h, w)
 ///   wgt  (out_c, in_c, kk, kk)
 ///   bias (out_c) or nullptr
-///   y    (out_c, oh, ow), overwritten
-/// oh/ow must equal (h + 2*pad - kk)/stride + 1.
-void conv2d_forward(const float* x, std::size_t in_c, std::size_t h,
-                    std::size_t w, const float* wgt, std::size_t out_c,
-                    std::size_t kk, std::size_t stride, std::size_t pad,
-                    const float* bias, float* y, std::size_t oh,
-                    std::size_t ow);
-
-/// ConvT2d forward for one image via sgemm + col2im scatter.
-///   x    (in_c, h, w)
-///   wgt  (in_c, out_c, kk, kk)  — transposed-conv weight layout
-///   y    (out_c, oh, ow), overwritten; oh = (h-1)*stride + kk + out_pad
-///        - 2*pad (computed by the caller).
-void convt2d_forward(const float* x, std::size_t in_c, std::size_t h,
-                     std::size_t w, const float* wgt, std::size_t out_c,
-                     std::size_t kk, std::size_t stride, std::size_t pad,
-                     const float* bias, float* y, std::size_t oh,
-                     std::size_t ow);
-
-/// Batched Conv2d forward: n samples in NCHW layout, one im2col matrix and
-/// one SGEMM per sample *group* instead of per sample, so the packed
-/// weight panels are amortized across the group — the win that makes
-/// cross-request inference batching pay off on the latency bench.
+///   y    (n, out_c, oh, ow), overwritten; oh/ow must equal
+///        (h + 2*pad - kk)/stride + 1.
+/// One im2col matrix and one SGEMM per sample *group* instead of per
+/// sample, so the packed weight panels are amortized across the group —
+/// the win that makes cross-request inference batching pay off.
 ///
 /// Samples are grouped so the column matrix stays cache-friendly; the
 /// group size is a pure function of the layer shapes (never of n or the
 /// thread count), and every output element accumulates in exactly the
-/// per-sample order — results are bitwise identical to n calls of
-/// conv2d_forward, which is what lets the server coalesce requests without
+/// per-sample order — results are bitwise identical to n calls with
+/// n = 1, which is what lets the server coalesce requests without
 /// changing a single output byte.
 void conv2d_forward_batched(const float* x, std::size_t n, std::size_t in_c,
                             std::size_t h, std::size_t w, const float* wgt,
@@ -78,8 +60,12 @@ void conv2d_forward_batched(const float* x, std::size_t n, std::size_t in_c,
                             const float* bias, float* y, std::size_t oh,
                             std::size_t ow);
 
-/// Batched ConvT2d forward; same grouping/identity contract as
-/// conv2d_forward_batched.
+/// Rank-2 transposed-convolution forward via sgemm + col2im scatter:
+///   x    (n, in_c, h, w)
+///   wgt  (in_c, out_c, kk, kk)  — transposed-conv weight layout
+///   y    (n, out_c, oh, ow), overwritten; oh = (h-1)*stride + kk + out_pad
+///        - 2*pad (computed by the caller).
+/// Same grouping/identity contract as conv2d_forward_batched.
 void convt2d_forward_batched(const float* x, std::size_t n, std::size_t in_c,
                              std::size_t h, std::size_t w, const float* wgt,
                              std::size_t out_c, std::size_t kk,

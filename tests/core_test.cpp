@@ -382,7 +382,8 @@ TEST(AESZ, FlagValueThreeIsCorruptStream) {
   EXPECT_EQ(decode_with_edited_flags([](std::vector<std::uint8_t>& packed) {
               const std::size_t last = 3 * 3 - 1;  // 20x20 in 8x8 blocks
               ASSERT_EQ((packed[last >> 2] >> ((last & 3) * 2)) & 3, 0);
-              packed[last >> 2] |= static_cast<std::uint8_t>(3u << ((last & 3) * 2));
+              packed[last >> 2] |=
+                  static_cast<std::uint8_t>(3u << ((last & 3) * 2));
             }),
             ErrCode::kCorruptStream);
 }

@@ -98,17 +98,17 @@ void gradcheck_conv(const std::vector<ConvCase>& cases, MakeLayer make) {
   }
 }
 
-Conv2d conv2d(const ConvCase& c, Rng& rng) {
-  return Conv2d(c.in_c, c.out_c, c.k, c.stride, c.pad, rng);
+Conv conv2d(const ConvCase& c, Rng& rng) {
+  return Conv(2, c.in_c, c.out_c, c.k, c.stride, c.pad, rng);
 }
-ConvT2d convt2d(const ConvCase& c, Rng& rng) {
-  return ConvT2d(c.in_c, c.out_c, c.k, c.stride, c.pad, c.out_pad, rng);
+ConvT convt2d(const ConvCase& c, Rng& rng) {
+  return ConvT(2, c.in_c, c.out_c, c.k, c.stride, c.pad, c.out_pad, rng);
 }
-Conv3d conv3d(const ConvCase& c, Rng& rng) {
-  return Conv3d(c.in_c, c.out_c, c.k, c.stride, c.pad, rng);
+Conv conv3d(const ConvCase& c, Rng& rng) {
+  return Conv(3, c.in_c, c.out_c, c.k, c.stride, c.pad, rng);
 }
-ConvT3d convt3d(const ConvCase& c, Rng& rng) {
-  return ConvT3d(c.in_c, c.out_c, c.k, c.stride, c.pad, c.out_pad, rng);
+ConvT convt3d(const ConvCase& c, Rng& rng) {
+  return ConvT(3, c.in_c, c.out_c, c.k, c.stride, c.pad, c.out_pad, rng);
 }
 
 TEST(GradCheck, Conv2dStride1) {
@@ -134,7 +134,7 @@ TEST(GradCheck, ConvT2dStride1) {
 
 TEST(GradCheck, ConvT2dStride2Upsamples) {
   Rng rng(4);
-  ConvT2d l(3, 2, 3, 2, 1, 1, rng);
+  ConvT l(2, 3, 2, 3, 2, 1, 1, rng);
   Tensor x({1, 3, 4, 4});
   Tensor y = l.forward(x, false);
   ASSERT_EQ(y.dim(2), 8u);  // exact doubling
@@ -161,7 +161,7 @@ TEST(GradCheck, Conv3dStride2) {
 
 TEST(GradCheck, ConvT3dStride2Upsamples) {
   Rng rng(7);
-  ConvT3d l(2, 1, 3, 2, 1, 1, rng);
+  ConvT l(3, 2, 1, 3, 2, 1, 1, rng);
   Tensor x({1, 2, 3, 3, 3});
   Tensor y = l.forward(x, false);
   ASSERT_EQ(y.dim(2), 6u);

@@ -123,7 +123,7 @@ TEST(Gemm, Conv2dForwardMatchesNaive) {
        std::vector<std::pair<std::size_t, std::size_t>>{{1, 1}, {2, 1},
                                                         {1, 0}, {2, 0}}) {
     const std::size_t in_c = 5, out_c = 7, k = 3, H = 17, W = 13, N = 2;
-    Conv2d layer(in_c, out_c, k, stride, pad, rng);
+    Conv layer(2, in_c, out_c, k, stride, pad, rng);
     const std::size_t OH = layer.out_size(H), OW = layer.out_size(W);
     Tensor x({N, in_c, H, W});
     for (std::size_t i = 0; i < x.numel(); ++i) x[i] = rng.gaussianf();
@@ -169,7 +169,7 @@ TEST(Gemm, ConvT2dForwardMatchesNaive) {
        std::vector<std::tuple<std::size_t, std::size_t, std::size_t>>{
            {2, 1, 1}, {1, 1, 0}, {2, 0, 0}}) {
     const std::size_t in_c = 6, out_c = 4, k = 3, H = 9, W = 11, N = 2;
-    ConvT2d layer(in_c, out_c, k, stride, pad, out_pad, rng);
+    ConvT layer(2, in_c, out_c, k, stride, pad, out_pad, rng);
     const std::size_t OH = layer.out_size(H), OW = layer.out_size(W);
     Tensor x({N, in_c, H, W});
     for (std::size_t i = 0; i < x.numel(); ++i) x[i] = rng.gaussianf();
