@@ -293,53 +293,14 @@ TEST_F(AESZFixture, FingerprintMismatchIsTypedError) {
   EXPECT_EQ(result.status().code, ErrCode::kModelMismatch);
 }
 
-TEST(AESZ, ExtraMeanIsCorruptStream) {
-  // An untrained model restricted to Lorenzo and mean blocks; the
-  // constant patch makes block 0 a mean block.
-  AESZ::Options opt;
-  opt.ae.block = 8;
-  opt.ae.latent = 4;
-  opt.ae.channels = {4};
-  opt.policy = AESZ::Policy::kLorenzoOnly;
-  AESZ c(opt, 11);
-  Field f = synth::value_noise_2d(20, 20, 3, 4.0, 325);
-  for (std::size_t i = 0; i < 8; ++i)
-    for (std::size_t j = 0; j < 8; ++j) f.at2(i, j) = 0.25f;
-  const auto stream = c.compress(f, ErrorBound::Abs(1e-3));
-  ASSERT_GT(c.last_stats().blocks_mean, 0u);
-  ASSERT_TRUE(c.decompress(stream).ok());
-  // Reseal the stream with one more value in its means blob.
-  ByteReader r(stream);
-  ASSERT_TRUE(sz::read_header(r, AESZ::kStreamMagic).ok());
-  r.get<float>();
-  r.get<float>();
-  r.get<std::uint64_t>();
-  r.get_varint();
-  r.get_varint();
-  r.get_blob();  // block flags
-  r.get_blob();  // latents
-  const std::size_t means_at = r.pos();
-  const auto mean_bytes = lz::decompress(r.get_blob());
-  ByteReader mr(mean_bytes);
-  auto means = mr.get_array<float>();
-  means.push_back(0.5f);
-  ByteWriter mw;
-  mw.put_array<float>(means);
-  ByteWriter w;
-  w.put_bytes(std::span(stream).first(means_at));
-  w.put_blob(lz::compress(mw.bytes()));
-  w.put_bytes(r.rest());
-  auto result = c.decompress(sz::seal_stream(w.take()));
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code, ErrCode::kCorruptStream)
-      << result.status().str();
-}
-
-/// Reseals an untrained Lorenzo/mean AE-SZ stream (see
-/// ExtraMeanIsCorruptStream) with its packed block-flag blob passed through
-/// `edit`, and returns the decode's error code (kOk if it decodes).
+/// Compresses a 20x20 field with an untrained AE-SZ restricted to Lorenzo
+/// and mean blocks (its constant 8x8 patch makes block 0 a mean block),
+/// reseals the stream with the lz-compressed blob `skip` blobs after the
+/// fixed header fields (0: block flags, 2: means; 1, the latents, is not
+/// lz) passed through `edit`, and returns the decode's error code (kOk if
+/// it decodes).
 template <class Edit>
-ErrCode decode_with_edited_flags(Edit edit) {
+ErrCode decode_with_edited_blob(int skip, Edit edit) {
   AESZ::Options opt;
   opt.ae.block = 8;
   opt.ae.latent = 4;
@@ -350,6 +311,7 @@ ErrCode decode_with_edited_flags(Edit edit) {
   for (std::size_t i = 0; i < 8; ++i)
     for (std::size_t j = 0; j < 8; ++j) f.at2(i, j) = 0.25f;
   const auto stream = c.compress(f, ErrorBound::Abs(1e-3));
+  EXPECT_GT(c.last_stats().blocks_mean, 0u);
   EXPECT_TRUE(c.decompress(stream).ok());
   ByteReader r(stream);
   EXPECT_TRUE(sz::read_header(r, AESZ::kStreamMagic).ok());
@@ -358,28 +320,42 @@ ErrCode decode_with_edited_flags(Edit edit) {
   r.get<std::uint64_t>();
   r.get_varint();
   r.get_varint();
-  const std::size_t flags_at = r.pos();
-  auto flags = lz::decompress(r.get_blob());
-  edit(flags);
+  for (int i = 0; i < skip; ++i) r.get_blob();
+  const std::size_t at = r.pos();
+  auto bytes = lz::decompress(r.get_blob());
+  edit(bytes);
   ByteWriter w;
-  w.put_bytes(std::span(stream).first(flags_at));
-  w.put_blob(lz::compress(flags));
+  w.put_bytes(std::span(stream).first(at));
+  w.put_blob(lz::compress(bytes));
   w.put_bytes(r.rest());
   auto result = c.decompress(sz::seal_stream(w.take()));
   return result.ok() ? ErrCode::kOk : result.status().code;
 }
 
+TEST(AESZ, ExtraMeanIsCorruptStream) {
+  const auto add_mean = [](std::vector<std::uint8_t>& bytes) {
+    ByteReader mr(bytes);
+    auto means = mr.get_array<float>();
+    means.push_back(0.5f);
+    ByteWriter mw;
+    mw.put_array<float>(means);
+    bytes = mw.bytes();
+  };
+  EXPECT_EQ(decode_with_edited_blob(2, add_mean), ErrCode::kCorruptStream);
+}
+
 TEST(AESZ, ExtraFlagByteIsCorruptStream) {
-  EXPECT_EQ(decode_with_edited_flags(
-                [](std::vector<std::uint8_t>& packed) { packed.push_back(0); }),
-            ErrCode::kCorruptStream);
+  const auto add_byte = [](std::vector<std::uint8_t>& packed) {
+    packed.push_back(0);
+  };
+  EXPECT_EQ(decode_with_edited_blob(0, add_byte), ErrCode::kCorruptStream);
 }
 
 TEST(AESZ, FlagValueThreeIsCorruptStream) {
   // Block 0 is the mean block; 2 bits per block, so the last block's flag
   // (a Lorenzo block, 0) sits in the top bits of the last byte. 3 is not a
   // BlockFlag.
-  EXPECT_EQ(decode_with_edited_flags([](std::vector<std::uint8_t>& packed) {
+  EXPECT_EQ(decode_with_edited_blob(0, [](std::vector<std::uint8_t>& packed) {
               const std::size_t last = 3 * 3 - 1;  // 20x20 in 8x8 blocks
               ASSERT_EQ((packed[last >> 2] >> ((last & 3) * 2)) & 3, 0);
               packed[last >> 2] |=

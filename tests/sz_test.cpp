@@ -155,17 +155,12 @@ TEST(SZ21, ExtraRegressionCoefficientIsCorruptStream) {
   // Reseal the stream with one more coefficient (varint 0) in its blob.
   ByteReader r(stream);
   ASSERT_TRUE(sz::read_header(r, SZ21::kStreamMagic).ok());
-  const std::size_t header_end = r.pos();
-  const auto flag_blob = r.get_blob();
-  auto coeffs = lz::decompress(r.get_blob());
-  ASSERT_FALSE(coeffs.empty());
-  coeffs.push_back(0);
-  ByteWriter w;
-  w.put_bytes(std::span(stream).first(header_end));
-  w.put_blob(flag_blob);
-  w.put_blob(lz::compress(coeffs));
-  w.put_bytes(r.rest());
-  auto result = c.decompress(sz::seal_stream(w.take()));
+  r.get_blob();  // block flags
+  auto result = c.decompress(reseal_blob(
+      stream, r.pos(), [](std::vector<std::uint8_t>& coeffs) {
+        ASSERT_FALSE(coeffs.empty());
+        coeffs.push_back(0);
+      }));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code, ErrCode::kCorruptStream)
       << result.status().str();
