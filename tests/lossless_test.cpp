@@ -8,6 +8,7 @@
 #include "lossless/huffman.hpp"
 #include "lossless/lz.hpp"
 #include "util/bytestream.hpp"
+#include "util/crc32c.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -386,6 +387,47 @@ TEST(HuffmanGolden, DeepCodesExceedPrimaryTable) {
   EXPECT_EQ(huffman::decode(huffman::encode(syms)), syms);
 }
 
+/// (size, CRC32C) of an encoder's output: a compact pin for outputs too
+/// large to keep as hex.
+struct Digest {
+  std::size_t size;
+  std::uint32_t crc;
+  bool operator==(const Digest&) const = default;
+};
+
+Digest digest(const std::vector<std::uint8_t>& bytes) {
+  return {bytes.size(), util::crc32c(bytes)};
+}
+
+std::ostream& operator<<(std::ostream& os, const Digest& d) {
+  return os << "{" << d.size << ", 0x" << std::hex << d.crc << std::dec
+            << "}";
+}
+
+/// SZ-style quantization codes: clustered around the 32768 midpoint, with a
+/// few far outliers, so the symbol range starts far above 0.
+std::vector<std::uint16_t> clustered_codes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint16_t> codes(n);
+  for (auto& c : codes) {
+    const double g = rng.gaussian() * (rng.below(50) == 0 ? 400.0 : 4.0);
+    c = static_cast<std::uint16_t>(32768 + std::lround(g));
+  }
+  return codes;
+}
+
+/// Digests of huffman::encode recorded before its scratch tables were
+/// sized by the symbol range: that change must keep every byte.
+TEST(HuffmanGolden, RangeEdgeDigestsArePinned) {
+  EXPECT_EQ(digest(huffman::encode(clustered_codes(20000, 31))),
+            (Digest{11650, 0xd8a1a556}));
+  EXPECT_EQ(digest(huffman::encode({})), (Digest{4, 0xed26d9b9}));
+  const std::vector<std::uint16_t> one{40000};
+  EXPECT_EQ(digest(huffman::encode(one)), (Digest{11, 0xee5dbe4d}));
+  const std::vector<std::uint16_t> top(300, 65535);
+  EXPECT_EQ(digest(huffman::encode(top)), (Digest{49, 0x94f35dd9}));
+}
+
 TEST(Huffman, DecodeMatchesReferenceOnRandomStreams) {
   // Differential fuzz: the table-driven decoder and the per-bit canonical
   // walk must agree symbol for symbol across alphabet shapes.
@@ -520,6 +562,46 @@ TEST(Lz, MatchesBeyondWindowNotUsed) {
   std::vector<std::uint8_t> data = unique;
   data.insert(data.end(), unique.begin(), unique.begin() + 1000);
   EXPECT_EQ(lz::decompress(lz::compress(data)), data);
+}
+
+/// Bytes that repeat at every distance scale: random literal runs mixed
+/// with copies from up to 80 KiB back (past the 64 KiB window), so the
+/// matcher's chains, window limit and long matches all see use.
+std::vector<std::uint8_t> lz_workload(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> data;
+  data.reserve(n);
+  while (data.size() < n) {
+    const std::size_t want = n - data.size();
+    if (data.size() < 64 || rng.below(3) == 0) {
+      const std::size_t run = std::min<std::size_t>(want, 1 + rng.below(40));
+      for (std::size_t i = 0; i < run; ++i)
+        data.push_back(static_cast<std::uint8_t>(rng.below(256)));
+    } else {
+      const std::size_t dist = 1 + rng.below(std::min<std::uint64_t>(
+                                       data.size(), 80 << 10));
+      const std::size_t len = std::min<std::size_t>(want, 4 + rng.below(300));
+      for (std::size_t i = 0; i < len; ++i)
+        data.push_back(data[data.size() - dist]);
+    }
+  }
+  return data;
+}
+
+/// Digests of lz::compress recorded before its hash tables were sized by
+/// the input: below, exactly at and past the 64 KiB window.
+TEST(Lz, CompressDigestsArePinned) {
+  EXPECT_EQ(digest(lz::compress(lz_workload(1 << 10, 41))),
+            (Digest{168, 0xf9507770}));
+  EXPECT_EQ(digest(lz::compress(lz_workload(64 << 10, 42))),
+            (Digest{6826, 0x514e0bfd}));
+  EXPECT_EQ(digest(lz::compress(lz_workload(200 << 10, 43))),
+            (Digest{23873, 0x4a37cead}));
+  for (const std::size_t n : {std::size_t{1} << 10, std::size_t{64} << 10,
+                              std::size_t{200} << 10}) {
+    const auto data = lz_workload(n, 40 + n);
+    EXPECT_EQ(lz::decompress(lz::compress(data)), data) << n;
+  }
 }
 
 TEST(Lz, CorruptStreamThrows) {

@@ -7,11 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <pthread.h>
+#include <signal.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -31,6 +37,7 @@
 #include "service/transport.hpp"
 #include "temporal/temporal.hpp"
 #include "util/bytestream.hpp"
+#include "util/crc32c.hpp"
 
 namespace aesz {
 namespace {
@@ -97,6 +104,52 @@ struct Session {
   std::unique_ptr<svc::TcpTransport> client;
   std::thread loop;
 };
+
+/// A frame's wire bytes as docs/PROTOCOL.md "Framing" spells them, built
+/// byte by byte without the service's own framing code: the body length
+/// as u32 little endian (bit 31 set when a trailer follows), the body,
+/// then the body's CRC32C as u32 little endian for a checksummed frame.
+std::vector<std::uint8_t> spelled_frame(std::span<const std::uint8_t> body,
+                                        bool with_crc) {
+  std::vector<std::uint8_t> wire(4 + body.size() + (with_crc ? 4 : 0));
+  const auto put_le32 = [&wire](std::size_t at, std::uint32_t v) {
+    for (std::size_t i = 0; i < 4; ++i)
+      wire[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  };
+  put_le32(0, static_cast<std::uint32_t>(body.size()) |
+                  (with_crc ? 0x80000000u : 0u));
+  std::copy(body.begin(), body.end(), wire.begin() + 4);
+  if (with_crc) put_le32(4 + body.size(), util::crc32c(body));
+  return wire;
+}
+
+std::uint32_t le32(std::span<const std::uint8_t> b) {
+  return static_cast<std::uint32_t>(b[0]) |
+         static_cast<std::uint32_t>(b[1]) << 8 |
+         static_cast<std::uint32_t>(b[2]) << 16 |
+         static_cast<std::uint32_t>(b[3]) << 24;
+}
+
+/// Read `n` bytes from `fd` in recv() calls of at most `piece` bytes,
+/// sleeping `pause` after each: a slow reader. Stops early, returning what
+/// arrived, at EOF or after 10 s without a byte.
+std::vector<std::uint8_t> read_slowly(int fd, std::size_t n,
+                                      std::size_t piece,
+                                      std::chrono::microseconds pause) {
+  std::vector<std::uint8_t> got(n);
+  std::size_t have = 0;
+  while (have < n) {
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, 10000) <= 0) break;
+    const ssize_t r =
+        ::recv(fd, got.data() + have, std::min(piece, n - have), 0);
+    if (r <= 0) break;
+    have += static_cast<std::size_t>(r);
+    std::this_thread::sleep_for(pause);
+  }
+  got.resize(have);
+  return got;
+}
 
 svc::CompressRequest sample_compress_request(const Field& f) {
   svc::CompressRequest req;
@@ -394,6 +447,55 @@ TEST(TcpTransport, ConnectToClosedPortIsTypedError) {
   EXPECT_EQ(t.status().code, ErrCode::kIoError);
 }
 
+/// send_frame must put the whole frame on the wire even when the kernel
+/// takes it in pieces. A blocking send returns short when a signal cuts it
+/// off after some bytes went out, so the sender gets a small send buffer
+/// (its sends block while the peer drains slowly, in small reads) and a
+/// handler-only signal every millisecond: a multi-MiB frame then leaves
+/// in many short writes, with EINTR wherever a signal lands before any
+/// byte moved.
+TEST(TcpTransport, ShortWritesStillDeliverTheExactWireImage) {
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const int sndbuf = 4096;
+  ASSERT_EQ(::setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &sndbuf,
+                         sizeof sndbuf), 0);
+  struct sigaction poke {}, old {};
+  poke.sa_handler = [](int) {};  // no SA_RESTART: the send returns early
+  ASSERT_EQ(::sigaction(SIGUSR1, &poke, &old), 0);
+  svc::TcpTransport sender(fds[0]);
+  std::vector<std::uint8_t> body(std::size_t{3} << 20);
+  for (std::size_t i = 0; i < body.size(); ++i)
+    body[i] = static_cast<std::uint8_t>((i * 2654435761u) >> 13);
+  const pthread_t sending_thread = ::pthread_self();
+  for (const bool with_crc : {false, true}) {
+    sender.set_frame_crc(with_crc);
+    const auto want = spelled_frame(body, with_crc);
+    std::vector<std::uint8_t> got;
+    std::atomic<bool> sent_all{false};
+    std::thread reader([&] {
+      got = read_slowly(fds[1], want.size(), 16 << 10,
+                        std::chrono::microseconds(500));
+    });
+    std::thread poker([&] {
+      while (!sent_all.load()) {
+        ::pthread_kill(sending_thread, SIGUSR1);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+    const Status sent = sender.send_frame(body);
+    sent_all.store(true);
+    poker.join();
+    if (!sent.ok()) sender.shutdown();  // let the reader see EOF
+    reader.join();
+    ASSERT_TRUE(sent.ok()) << sent.str();
+    ASSERT_EQ(got.size(), want.size()) << "with_crc=" << with_crc;
+    EXPECT_TRUE(got == want) << "with_crc=" << with_crc;
+  }
+  ::sigaction(SIGUSR1, &old, nullptr);
+  ::close(fds[1]);
+}
+
 // ------------------------------------------------------------- server ----
 
 /// The decompress op builds its cached codec at the rank the stream's
@@ -567,6 +669,55 @@ TEST(Server, StatsCountersTrackTrafficAndErrors) {
   EXPECT_EQ(stats->get("error_responses"), 1u);
   EXPECT_GE(stats->get("bytes_in"), ok_frame.size());
   EXPECT_GT(stats->get("bytes_out"), 0u);
+}
+
+/// A multi-MiB response to a checksumming peer that reads slowly, in small
+/// pieces, leaves the server in many partial writes through a small send
+/// buffer. The peer must still see the flagged length prefix, the exact
+/// response body and a trailer that verifies it.
+TEST(EventServer, LargeChecksummedResponseReachesASlowReaderIntact) {
+  svc::Server server({2, "", "CESM-CLDHGH"});
+  const Field f = synth::cesm_freqsh(768, 1024, 51);
+  const auto stream =
+      reg().create("SZ2.1", 2).value()->compress(f, ErrorBound::Rel(1e-2));
+  auto want = reg().create("SZ2.1", 2).value()->decompress(stream);
+  ASSERT_TRUE(want.ok()) << want.status().str();
+
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const int sndbuf = 4096;
+  ASSERT_EQ(::setsockopt(fds[1], SOL_SOCKET, SO_SNDBUF, &sndbuf,
+                         sizeof sndbuf), 0);
+  svc::EventServer front(server, Session::one_connection());
+  front.adopt(fds[1]);
+  std::thread loop([&] { front.run(); });
+  svc::TcpTransport client(fds[0]);
+  client.set_frame_crc(true);
+  ASSERT_TRUE(
+      client.send_frame(svc::encode_decompress_request({"SZ2.1", stream}))
+          .ok());
+
+  const auto small = std::chrono::microseconds(20);
+  const auto prefix = read_slowly(fds[0], 4, 4, small);
+  ASSERT_EQ(prefix.size(), 4u);
+  const std::uint32_t len = le32(prefix);
+  EXPECT_NE(len & svc::kFrameCrcFlag, 0u);
+  const std::size_t body_len = len & svc::kFrameLenMask;
+  EXPECT_GT(body_len, std::size_t{3} << 20);
+  const auto body = read_slowly(fds[0], body_len, 1500, small);
+  const auto trailer = read_slowly(fds[0], 4, 4, small);
+  client.shutdown();
+  loop.join();
+
+  ASSERT_EQ(body.size(), body_len);
+  ASSERT_EQ(trailer.size(), 4u);
+  EXPECT_EQ(le32(trailer), util::crc32c(body));
+  auto resp = svc::parse_decompress_response(body);
+  ASSERT_TRUE(resp.ok()) << resp.status().str();
+  EXPECT_EQ(resp->dims, f.dims());
+  const auto want_bytes = field_bytes(*want);
+  EXPECT_TRUE(std::equal(resp->field.begin(), resp->field.end(),
+                         want_bytes.begin(), want_bytes.end()));
 }
 
 /// Pipelined scheduling: a client may stack requests on one connection;
