@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cinttypes>
 #include <cstring>
+#include <utility>
 
 #include "obs/log.hpp"
 #include "service/protocol.hpp"
@@ -316,12 +317,11 @@ bool EventServer::parse_frames(Conn& c) {
     const std::size_t total =
         4 + static_cast<std::size_t>(len) + (has_crc ? kFrameCrcBytes : 0);
     if (c.rbuf.size() < total) return false;
-    std::vector<std::uint8_t> frame(c.rbuf.begin() + 4,
-                                    c.rbuf.begin() + 4 + len);
+    const std::span<const std::uint8_t> body(c.rbuf.data() + 4, len);
     if (has_crc) {
       std::uint32_t want = 0;
       std::memcpy(&want, c.rbuf.data() + 4 + len, kFrameCrcBytes);
-      if (util::crc32c(frame) != want) {
+      if (util::crc32c(body) != want) {
         // The length field was intact, so framing stays resynchronized:
         // answer the damaged request with a typed error and keep the
         // connection — the client's retry policy takes it from there.
@@ -340,8 +340,18 @@ bool EventServer::parse_frames(Conn& c) {
       // on every response from here on (sticky, like the transports).
       c.want_crc = true;
     }
-    c.rbuf.erase(c.rbuf.begin(),
-                 c.rbuf.begin() + static_cast<std::ptrdiff_t>(total));
+    std::vector<std::uint8_t> frame;
+    if (c.rbuf.size() == total) {
+      // The buffer holds exactly this frame, as it does whenever requests
+      // are not pipelined: take it over instead of copying the body out.
+      frame = std::exchange(c.rbuf, {});
+      frame.resize(4 + len);
+      frame.erase(frame.begin(), frame.begin() + 4);
+    } else {
+      frame.assign(body.begin(), body.end());
+      c.rbuf.erase(c.rbuf.begin(),
+                   c.rbuf.begin() + static_cast<std::ptrdiff_t>(total));
+    }
     if (admit_frame(c, std::move(frame))) return true;
   }
   return false;
@@ -380,9 +390,8 @@ bool EventServer::read_ready(Conn& c) {
 
 bool EventServer::write_ready(Conn& c) {
   while (!c.wqueue.empty()) {
-    const std::vector<std::uint8_t>& front = c.wqueue.front();
-    const ssize_t w = ::send(c.fd, front.data() + c.woff,
-                             front.size() - c.woff, MSG_NOSIGNAL);
+    const OutFrame& front = c.wqueue.front();
+    const ssize_t w = send_frame_part(c.fd, front.env, front.body, c.woff);
     if (w < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
@@ -391,7 +400,7 @@ bool EventServer::write_ready(Conn& c) {
     }
     c.woff += static_cast<std::size_t>(w);
     c.buffered -= static_cast<std::size_t>(w);
-    if (c.woff == front.size()) {
+    if (c.woff == front.env.wire_bytes(front.body.size())) {
       c.wqueue.pop_front();
       c.woff = 0;
     }
@@ -403,25 +412,16 @@ bool EventServer::write_ready(Conn& c) {
 
 bool EventServer::complete(Conn& c, std::uint64_t seq,
                            std::vector<std::uint8_t> response) {
-  // Frame (length prefix + body, plus a CRC32C trailer for peers that
-  // checksum) now, park in the ordered slot, then flush every
-  // consecutively-ready response.
-  std::uint32_t len = static_cast<std::uint32_t>(response.size());
-  if (c.want_crc) len |= kFrameCrcFlag;
-  std::vector<std::uint8_t> framed(
-      4 + response.size() + (c.want_crc ? kFrameCrcBytes : 0));
-  std::memcpy(framed.data(), &len, 4);
-  std::memcpy(framed.data() + 4, response.data(), response.size());
-  if (c.want_crc) {
-    const std::uint32_t crc = util::crc32c(response);
-    std::memcpy(framed.data() + 4 + response.size(), &crc, kFrameCrcBytes);
-  }
-  c.buffered += framed.size();
+  // Envelope the response (length prefix, plus a CRC32C trailer for peers
+  // that checksum) beside its body, park it in the ordered slot, then
+  // flush every consecutively-ready response.
+  OutFrame out{frame_envelope(response, c.want_crc), std::move(response)};
+  c.buffered += out.env.wire_bytes(out.body.size());
   // Single-writer max: complete() only ever runs on the loop thread, so a
   // plain compare-and-set needs no CAS loop.
   const auto hw = static_cast<std::int64_t>(c.buffered);
   if (hw > buffered_high_water_.value()) buffered_high_water_.set(hw);
-  c.ready.emplace(seq, std::move(framed));
+  c.ready.emplace(seq, std::move(out));
   while (true) {
     auto it = c.ready.find(c.next_flush);
     if (it == c.ready.end()) break;

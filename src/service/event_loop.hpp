@@ -8,6 +8,7 @@
 #include <mutex>
 #include <vector>
 
+#include "service/protocol.hpp"
 #include "service/server.hpp"
 #include "service/transport.hpp"
 
@@ -124,21 +125,30 @@ class EventServer {
   void stop();
 
  private:
+  /// A response on its way out: the body exactly as the Server built it
+  /// plus its envelope (length prefix, CRC trailer), so it leaves in one
+  /// sendmsg without being copied into a framed buffer.
+  struct OutFrame {
+    FrameEnvelope env;
+    std::vector<std::uint8_t> body;
+  };
+
   struct Conn {
     int fd = -1;
     std::uint64_t id = 0;
     // Incremental frame reassembly: raw bytes as they arrived; a frame is
-    // extracted the moment its prefix + body are complete.
+    // extracted the moment its prefix + body are complete, by taking the
+    // buffer over when it holds exactly that frame.
     std::vector<std::uint8_t> rbuf;
     // Ordered response slots: requests take seqs in arrival order and
     // responses flush in seq order no matter which finishes first.
     std::uint64_t next_seq = 0;
     std::uint64_t next_flush = 0;
-    std::map<std::uint64_t, std::vector<std::uint8_t>> ready;
-    // Outbound: length-prefixed frames waiting for the socket.
-    std::deque<std::vector<std::uint8_t>> wqueue;
-    std::size_t woff = 0;            // bytes of wqueue.front() already sent
-    std::size_t buffered = 0;        // wqueue + ready payload bytes
+    std::map<std::uint64_t, OutFrame> ready;
+    // Outbound: frames waiting for the socket.
+    std::deque<OutFrame> wqueue;
+    std::size_t woff = 0;            // wire bytes of wqueue.front() sent
+    std::size_t buffered = 0;        // wqueue + ready wire bytes
     std::size_t inflight = 0;        // submitted, not yet completed
     bool read_paused = false;        // backpressure: read interest dropped
     bool peer_eof = false;           // half-close: no more requests

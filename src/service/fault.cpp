@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
+#include <iterator>
 #include <thread>
 
 #include "service/protocol.hpp"
-#include "util/crc32c.hpp"
 
 namespace aesz::service {
 
@@ -51,17 +50,12 @@ Status FaultyTransport::send_frame(std::span<const std::uint8_t> frame) {
     // wire image the inner transport would have produced (prefix | body |
     // CRC trailer when enabled), flip one bit of the BODY region, and
     // ship it raw. The peer's CRC verification is what should catch this.
-    const bool with_crc = inner_->frame_crc();
-    std::uint32_t len = static_cast<std::uint32_t>(frame.size());
-    if (with_crc) len |= kFrameCrcFlag;
-    std::vector<std::uint8_t> wire(4 + frame.size() +
-                                   (with_crc ? kFrameCrcBytes : 0));
-    std::memcpy(wire.data(), &len, 4);
-    std::memcpy(wire.data() + 4, frame.data(), frame.size());
-    if (with_crc) {
-      const std::uint32_t crc = util::crc32c(frame);
-      std::memcpy(wire.data() + 4 + frame.size(), &crc, kFrameCrcBytes);
-    }
+    const FrameEnvelope env = frame_envelope(frame, inner_->frame_crc());
+    std::vector<std::uint8_t> wire(env.wire_bytes(frame.size()));
+    auto out = std::copy(std::begin(env.prefix), std::end(env.prefix),
+                         wire.begin());
+    out = std::copy(frame.begin(), frame.end(), out);
+    std::copy(env.trailer, env.trailer + env.trailer_bytes, out);
     const std::uint64_t bit = next_rand() % (frame.size() * 8);
     wire[4 + bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
     if (auto* t = dynamic_cast<TcpTransport*>(inner_.get()))

@@ -6,8 +6,23 @@
 #include "sz/common.hpp"
 #include "temporal/aetc.hpp"
 #include "util/bytestream.hpp"
+#include "util/crc32c.hpp"
 
 namespace aesz::service {
+
+FrameEnvelope frame_envelope(std::span<const std::uint8_t> body,
+                             bool with_crc) {
+  FrameEnvelope env;
+  std::uint32_t len = static_cast<std::uint32_t>(body.size());
+  if (with_crc) len |= kFrameCrcFlag;
+  std::memcpy(env.prefix, &len, sizeof env.prefix);
+  if (with_crc) {
+    const std::uint32_t crc = util::crc32c(body);
+    std::memcpy(env.trailer, &crc, kFrameCrcBytes);
+    env.trailer_bytes = kFrameCrcBytes;
+  }
+  return env;
+}
 
 const char* op_name(Op op) {
   switch (op) {

@@ -106,6 +106,25 @@ constexpr std::uint32_t kFrameCrcFlag = 0x80000000u;
 constexpr std::uint32_t kFrameLenMask = 0x7FFFFFFFu;
 constexpr std::size_t kFrameCrcBytes = 4;
 
+/// The transport's bytes around one frame body: the u32 little-endian
+/// length prefix (bit 31 = kFrameCrcFlag) and, for a checksummed frame,
+/// the CRC32C trailer over the body. On the wire a frame is
+/// prefix | body | the first trailer_bytes bytes of trailer.
+struct FrameEnvelope {
+  std::uint8_t prefix[4] = {};
+  std::uint8_t trailer[kFrameCrcBytes] = {};
+  std::size_t trailer_bytes = 0;  // kFrameCrcBytes when checksummed, else 0
+
+  std::size_t wire_bytes(std::size_t body_bytes) const {
+    return sizeof prefix + body_bytes + trailer_bytes;
+  }
+};
+
+/// The envelope every sender puts around `body` (the caller checks the
+/// kMaxFrameBytes cap).
+FrameEnvelope frame_envelope(std::span<const std::uint8_t> body,
+                             bool with_crc);
+
 /// Cap on codec-name length inside a frame — a name longer than this is a
 /// hostile frame, not a registry lookup.
 constexpr std::size_t kMaxCodecName = 256;

@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -19,17 +20,18 @@ namespace aesz::service {
 
 namespace {
 
-Status send_all(int fd, const std::uint8_t* data, std::size_t n) {
-  while (n > 0) {
-    // MSG_NOSIGNAL: a vanished peer must surface as EPIPE, not SIGPIPE.
-    const ssize_t w = ::send(fd, data, n, MSG_NOSIGNAL);
-    if (w < 0) {
-      if (errno == EINTR) continue;
+/// Call `send_from(off)` (one write of the bytes past `off`) until all
+/// `total` bytes are out, resuming after short writes and EINTR.
+template <class SendFrom>
+Status send_all(std::size_t total, SendFrom send_from) {
+  for (std::size_t off = 0; off < total;) {
+    const ssize_t w = send_from(off);
+    if (w >= 0) {
+      off += static_cast<std::size_t>(w);
+    } else if (errno != EINTR) {
       return Status::error(ErrCode::kIoError,
                            std::string("send: ") + std::strerror(errno));
     }
-    data += w;
-    n -= static_cast<std::size_t>(w);
   }
   return {};
 }
@@ -68,6 +70,29 @@ RecvResult recv_all(int fd, std::uint8_t* data, std::size_t n,
 
 }  // namespace
 
+ssize_t send_frame_part(int fd, const FrameEnvelope& env,
+                        std::span<const std::uint8_t> body, std::size_t off) {
+  const std::span<const std::uint8_t> parts[3] = {
+      env.prefix, body, {env.trailer, env.trailer_bytes}};
+  iovec iov[3];
+  std::size_t n = 0;
+  for (const auto part : parts) {
+    if (off >= part.size()) {
+      off -= part.size();
+      continue;
+    }
+    iov[n].iov_base = const_cast<std::uint8_t*>(part.data() + off);
+    iov[n].iov_len = part.size() - off;
+    off = 0;
+    ++n;
+  }
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = n;
+  // MSG_NOSIGNAL: a vanished peer must surface as EPIPE, not SIGPIPE.
+  return ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+}
+
 TcpTransport::TcpTransport(int fd) : fd_(fd) {}
 
 TcpTransport::~TcpTransport() {
@@ -101,25 +126,19 @@ Status TcpTransport::send_frame(std::span<const std::uint8_t> frame) {
   if (frame.size() > kMaxFrameBytes)
     return Status::error(ErrCode::kInvalidArgument, "frame exceeds limit");
   if (fd_ < 0) return Status::error(ErrCode::kIoError, "socket closed");
-  const bool with_crc = crc_.load();
-  std::uint32_t len = static_cast<std::uint32_t>(frame.size());
-  if (with_crc) len |= kFrameCrcFlag;
-  std::uint8_t prefix[4];
-  std::memcpy(prefix, &len, 4);
-  if (Status s = send_all(fd_, prefix, 4); !s.ok()) return s;
-  if (Status s = send_all(fd_, frame.data(), frame.size()); !s.ok()) return s;
-  if (with_crc) {
-    const std::uint32_t crc = util::crc32c(frame);
-    std::uint8_t trailer[kFrameCrcBytes];
-    std::memcpy(trailer, &crc, kFrameCrcBytes);
-    return send_all(fd_, trailer, kFrameCrcBytes);
-  }
-  return {};
+  // One write for the whole frame: a body sent apart from its prefix
+  // would wait behind Nagle's algorithm for the peer's delayed ACK.
+  const FrameEnvelope env = frame_envelope(frame, crc_.load());
+  return send_all(env.wire_bytes(frame.size()), [&](std::size_t off) {
+    return send_frame_part(fd_, env, frame, off);
+  });
 }
 
 Status TcpTransport::send_raw(std::span<const std::uint8_t> bytes) {
   if (fd_ < 0) return Status::error(ErrCode::kIoError, "socket closed");
-  return send_all(fd_, bytes.data(), bytes.size());
+  return send_all(bytes.size(), [&](std::size_t off) {
+    return ::send(fd_, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
+  });
 }
 
 Expected<std::vector<std::uint8_t>> TcpTransport::recv_frame() {

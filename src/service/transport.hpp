@@ -1,5 +1,7 @@
 #pragma once
 
+#include <sys/types.h>
+
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -10,6 +12,16 @@
 #include "util/expected.hpp"
 
 namespace aesz::service {
+
+struct FrameEnvelope;
+
+/// One sendmsg() of a frame's wire bytes from wire offset `off` on: the
+/// rest of prefix | body | trailer, gathered in place from `env` and
+/// `body`, so a frame needs neither a framing copy nor a write per part.
+/// Returns what sendmsg() returns: the bytes written, or -1 with errno set.
+/// TcpTransport and EventServer send every frame through it.
+ssize_t send_frame_part(int fd, const FrameEnvelope& env,
+                        std::span<const std::uint8_t> body, std::size_t off);
 
 /// Bidirectional, frame-oriented byte transport between a client and a
 /// server. On the wire every frame is a u32 little-endian byte length

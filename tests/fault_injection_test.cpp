@@ -27,6 +27,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -52,7 +53,6 @@
 #include "service/transport.hpp"
 #include "temporal/aetc.hpp"
 #include "temporal/temporal.hpp"
-#include "util/crc32c.hpp"
 #include "util/error.hpp"
 
 namespace aesz {
@@ -84,16 +84,12 @@ std::vector<std::uint8_t> small_compress_frame() {
 /// u32 LE length prefix (bit 31 = CRC flag), body, optional CRC trailer.
 std::vector<std::uint8_t> wire_image(std::span<const std::uint8_t> frame,
                                      bool with_crc) {
-  std::uint32_t len = static_cast<std::uint32_t>(frame.size());
-  if (with_crc) len |= svc::kFrameCrcFlag;
-  std::vector<std::uint8_t> wire(4 + frame.size() +
-                                 (with_crc ? svc::kFrameCrcBytes : 0));
-  std::memcpy(wire.data(), &len, 4);
-  std::memcpy(wire.data() + 4, frame.data(), frame.size());
-  if (with_crc) {
-    const std::uint32_t crc = util::crc32c(frame);
-    std::memcpy(wire.data() + 4 + frame.size(), &crc, svc::kFrameCrcBytes);
-  }
+  const svc::FrameEnvelope env = svc::frame_envelope(frame, with_crc);
+  std::vector<std::uint8_t> wire(env.wire_bytes(frame.size()));
+  auto out = std::copy(std::begin(env.prefix), std::end(env.prefix),
+                       wire.begin());
+  out = std::copy(frame.begin(), frame.end(), out);
+  std::copy(env.trailer, env.trailer + env.trailer_bytes, out);
   return wire;
 }
 

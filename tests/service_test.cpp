@@ -1024,5 +1024,38 @@ TEST(TcpLoopback, ClientServerRoundTrip) {
   loop.join();  // accept_limit 1: run() returns once this connection closes
 }
 
+/// Small requests must not wait for the peer's delayed ACK. A frame sent
+/// in more than one write leaves its tail behind Nagle's algorithm until
+/// the server ACKs the head, which Linux delays by 40 ms; 20 preview round
+/// trips over loopback TCP must therefore have a median under half that.
+TEST(TcpLoopback, SmallRoundTripsDoNotWaitForTheDelayedAck) {
+  auto listener = svc::TcpListener::bind(0);
+  ASSERT_TRUE(listener.ok()) << listener.status().str();
+  svc::Server server({2, "", "CESM-CLDHGH"});
+  svc::EventServer front(server, **listener, Session::one_connection());
+  std::thread loop([&] { front.run(); });
+  auto transport = svc::TcpTransport::connect("127.0.0.1",
+                                              (*listener)->port());
+  ASSERT_TRUE(transport.ok()) << transport.status().str();
+  svc::Client client(**transport);
+
+  const Field f = field_for_rank(2);
+  const auto stream = reg().create("progressive:SZ2.1", 2).value()->compress(
+      f, ErrorBound::Rel(1e-2));
+  std::vector<double> ms;
+  for (int i = 0; i < 20; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    auto partial = client.read_partial(stream, stream.size() / 4);
+    const auto t1 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(partial.ok()) << partial.status().str();
+    ms.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());
+  }
+  (*transport)->shutdown();
+  loop.join();
+  std::sort(ms.begin(), ms.end());
+  EXPECT_LT(ms[ms.size() / 2], 20.0)
+      << "round trips (ms): min " << ms.front() << ", max " << ms.back();
+}
+
 }  // namespace
 }  // namespace aesz
