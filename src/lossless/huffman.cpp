@@ -36,7 +36,9 @@ int build_lengths(std::span<const std::uint64_t> freq,
   lengths.assign(n, 0);
 
   std::vector<Node> nodes;
-  nodes.reserve(2 * n);
+  nodes.reserve(2 * static_cast<std::size_t>(std::count_if(
+                        freq.begin(), freq.end(),
+                        [](std::uint64_t f) { return f != 0; })));
   using QE = std::pair<std::uint64_t, int>;  // (freq, node index)
   std::priority_queue<QE, std::vector<QE>, std::greater<>> pq;
   for (std::size_t s = 0; s < n; ++s) {
@@ -159,19 +161,23 @@ void build_lut(Canonical& c) {
   }
 }
 
-void write_table(ByteWriter& w, const Canonical& c) {
+/// Serialize the lengths of `c`, whose entry i is symbol `base + i`. The
+/// stream counts from symbol 0 regardless: its table size is the largest
+/// symbol + 1 and its first delta is from 0.
+void write_table(ByteWriter& w, const Canonical& c, std::size_t base) {
   // Sparse (delta symbol, length) pairs.
   std::uint64_t nz = 0;
   for (auto l : c.lengths)
     if (l) ++nz;
-  w.put_varint(c.lengths.size());
+  w.put_varint(base + c.lengths.size());
   w.put_varint(nz);
   std::uint64_t prev = 0;
-  for (std::size_t s = 0; s < c.lengths.size(); ++s) {
-    if (!c.lengths[s]) continue;
-    w.put_varint(s - prev);
-    w.put(static_cast<std::uint8_t>(c.lengths[s]));
-    prev = s;
+  for (std::size_t i = 0; i < c.lengths.size(); ++i) {
+    if (!c.lengths[i]) continue;
+    const std::uint64_t sym = base + i;
+    w.put_varint(sym - prev);
+    w.put(static_cast<std::uint8_t>(c.lengths[i]));
+    prev = sym;
   }
 }
 
@@ -213,6 +219,7 @@ std::uint16_t decode_one_slow(BitReader& bits, const Canonical& c) {
 std::vector<std::uint8_t> code_lengths(std::span<const std::uint64_t> freq) {
   std::vector<std::uint8_t> lengths;
   int depth = build_lengths(freq, lengths);
+  if (depth <= kMaxLen) return lengths;
   // Depth-limit by frequency flattening: rare with 16-bit bins, but a
   // pathological geometric distribution can exceed the on-disk length cap.
   std::vector<std::uint64_t> f(freq.begin(), freq.end());
@@ -228,18 +235,18 @@ std::vector<std::uint8_t> code_lengths(std::span<const std::uint64_t> freq) {
 
 std::vector<std::uint8_t> encode(std::span<const std::uint16_t> symbols) {
   prof::StageScope scope(prof::Stage::kEntropy);
-  // One pass: count while growing the table from a running max. Sized
-  // max_sym+1 exactly (matching the historical two-scan build, so the
-  // serialized table — and thus the stream bytes — are unchanged).
-  std::vector<std::uint64_t> freq(1, 0);
-  for (auto s : symbols) {
-    if (s >= freq.size()) {
-      if (freq.capacity() <= s) freq.reserve(std::max<std::size_t>(
-          2 * freq.capacity(), std::size_t{s} + 1));
-      freq.resize(std::size_t{s} + 1, 0);
-    }
-    ++freq[s];
+  // Count over [lo, hi], the symbols actually used: SZ quantization codes
+  // cluster near 32768, so tables indexed from symbol 0 would be mostly
+  // empty. Tree, codes and table bytes do not depend on the offset.
+  std::uint16_t lo = 0;
+  std::uint16_t hi = 0;
+  if (!symbols.empty()) {
+    const auto [mn, mx] = std::minmax_element(symbols.begin(), symbols.end());
+    lo = *mn;
+    hi = *mx;
   }
+  std::vector<std::uint64_t> freq(std::size_t{hi} - lo + 1, 0);
+  for (auto s : symbols) ++freq[s - lo];
 
   const Canonical c = canonicalize(code_lengths(freq));
 
@@ -247,11 +254,11 @@ std::vector<std::uint8_t> encode(std::span<const std::uint16_t> symbols) {
   std::vector<std::uint64_t> emit(freq.size());
   std::size_t payload_bits = 0;
   std::size_t nz = 0;
-  for (std::size_t s = 0; s < freq.size(); ++s) {
-    const int l = c.lengths[s];
+  for (std::size_t i = 0; i < freq.size(); ++i) {
+    const int l = c.lengths[i];
     if (!l) continue;
-    emit[s] = bit_reverse(c.codes[s], l);
-    payload_bits += static_cast<std::size_t>(l) * freq[s];
+    emit[i] = bit_reverse(c.codes[i], l);
+    payload_bits += static_cast<std::size_t>(l) * freq[i];
     ++nz;
   }
 
@@ -260,11 +267,11 @@ std::vector<std::uint8_t> encode(std::span<const std::uint16_t> symbols) {
   // + blob length prefix + payload.
   w.reserve(16 + 3 * nz + 10 + payload_bits / 8 + 9);
   w.put_varint(symbols.size());
-  write_table(w, c);
+  write_table(w, c, lo);
   BitWriter bits;
   bits.reserve_bits(payload_bits);
   for (auto s : symbols)
-    bits.put_bits(emit[s], c.lengths[s]);
+    bits.put_bits(emit[s - lo], c.lengths[s - lo]);
   w.put_blob(bits.finish());
   return w.take();
 }

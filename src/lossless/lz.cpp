@@ -30,29 +30,25 @@ std::size_t match_length(const std::uint8_t* a, const std::uint8_t* b,
   return n;
 }
 
-}  // namespace
-
-std::vector<std::uint8_t> compress(std::span<const std::uint8_t> input) {
-  prof::StageScope stage(prof::Stage::kEntropy);
-  ByteWriter w;
-  w.put_varint(input.size());
+/// Greedy hash-chain matching of `input` into `w`'s token stream, up to
+/// the trailing literal run, whose start it returns: head[h] = most recent
+/// position with hash h, prev[pos & mask] = previous position in the
+/// chain, -1 ends a chain. Both tables hold `Pos`, 32 bits wide for any
+/// input under 2 GiB, and prev never outgrows the input, so a small input
+/// costs a small scratch.
+template <typename Pos>
+std::size_t match_tokens(std::span<const std::uint8_t> input, ByteWriter& w) {
   const std::size_t n = input.size();
-  if (n == 0) {
-    w.put_varint(0);  // empty literal run
-    w.put_varint(0);  // terminator
-    return w.take();
-  }
-
-  // Hash-chain matcher: head[h] = most recent position with hash h,
-  // prev[pos & mask] = previous position in the chain.
-  std::vector<std::int64_t> head(1u << kHashBits, -1);
-  std::vector<std::int64_t> prev(kWindow, -1);
+  std::vector<Pos> head(std::size_t{1} << kHashBits, -1);
+  // Below the window every position has its own prev slot (pos & mask ==
+  // pos < n), so an n-entry table is enough.
+  std::vector<Pos> prev(std::min(n, kWindow), -1);
   const std::uint8_t* base = input.data();
 
   auto insert = [&](std::size_t pos) {
     const std::uint32_t h = hash4(base + pos);
     prev[pos & (kWindow - 1)] = head[h];
-    head[h] = static_cast<std::int64_t>(pos);
+    head[h] = static_cast<Pos>(pos);
   };
 
   std::size_t pos = 0;
@@ -62,7 +58,7 @@ std::vector<std::uint8_t> compress(std::span<const std::uint8_t> input) {
     std::size_t best_len = 0;
     std::size_t best_dist = 0;
     const std::size_t limit = std::min(n - pos, kMaxMatch);
-    std::int64_t cand = head[hash4(base + pos)];
+    Pos cand = head[hash4(base + pos)];
     for (int chain = 0;
          chain < kMaxChain && cand >= 0 &&
          pos - static_cast<std::size_t>(cand) <= kWindow;
@@ -93,8 +89,23 @@ std::vector<std::uint8_t> compress(std::span<const std::uint8_t> input) {
       ++pos;
     }
   }
+  return lit_start;
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> compress(std::span<const std::uint8_t> input) {
+  prof::StageScope stage(prof::Stage::kEntropy);
+  ByteWriter w;
+  const std::size_t n = input.size();
+  w.put_varint(n);
+  std::size_t lit_start = 0;
+  if (n >= kMinMatch)
+    lit_start = n < (std::size_t{1} << 31)
+                    ? match_tokens<std::int32_t>(input, w)
+                    : match_tokens<std::int64_t>(input, w);
   w.put_varint(n - lit_start);
-  w.put_bytes(input.subspan(lit_start, n - lit_start));
+  w.put_bytes(input.subspan(lit_start));
   w.put_varint(0);  // terminator
   return w.take();
 }
