@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <iterator>
 #include <thread>
 
 #include "service/protocol.hpp"
@@ -50,12 +49,7 @@ Status FaultyTransport::send_frame(std::span<const std::uint8_t> frame) {
     // wire image the inner transport would have produced (prefix | body |
     // CRC trailer when enabled), flip one bit of the BODY region, and
     // ship it raw. The peer's CRC verification is what should catch this.
-    const FrameEnvelope env = frame_envelope(frame, inner_->frame_crc());
-    std::vector<std::uint8_t> wire(env.wire_bytes(frame.size()));
-    auto out = std::copy(std::begin(env.prefix), std::end(env.prefix),
-                         wire.begin());
-    out = std::copy(frame.begin(), frame.end(), out);
-    std::copy(env.trailer, env.trailer + env.trailer_bytes, out);
+    std::vector<std::uint8_t> wire = frame_wire(frame, inner_->frame_crc());
     const std::uint64_t bit = next_rand() % (frame.size() * 8);
     wire[4 + bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
     if (auto* t = dynamic_cast<TcpTransport*>(inner_.get()))

@@ -24,6 +24,16 @@ FrameEnvelope frame_envelope(std::span<const std::uint8_t> body,
   return env;
 }
 
+std::vector<std::uint8_t> frame_wire(std::span<const std::uint8_t> body,
+                                     bool with_crc) {
+  const FrameEnvelope env = frame_envelope(body, with_crc);
+  std::vector<std::uint8_t> wire(env.prefix, env.prefix + sizeof env.prefix);
+  wire.reserve(env.wire_bytes(body.size()));
+  wire.insert(wire.end(), body.begin(), body.end());
+  wire.insert(wire.end(), env.trailer, env.trailer + env.trailer_bytes);
+  return wire;
+}
+
 const char* op_name(Op op) {
   switch (op) {
     case Op::kCompressRequest: return "compress-request";

@@ -125,6 +125,11 @@ struct FrameEnvelope {
 FrameEnvelope frame_envelope(std::span<const std::uint8_t> body,
                              bool with_crc);
 
+/// The frame's whole wire image, prefix | body | trailer, in one buffer:
+/// what a sender of raw bytes (FaultyTransport, tests) puts on the wire.
+std::vector<std::uint8_t> frame_wire(std::span<const std::uint8_t> body,
+                                     bool with_crc);
+
 /// Cap on codec-name length inside a frame — a name longer than this is a
 /// hostile frame, not a registry lookup.
 constexpr std::size_t kMaxCodecName = 256;

@@ -24,10 +24,10 @@
 
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -78,19 +78,6 @@ std::vector<std::uint8_t> small_compress_frame() {
   req.dims = f.dims();
   req.field = field_bytes(f);
   return svc::encode_compress_request(req);
-}
-
-/// The exact wire image TcpTransport emits for `frame`:
-/// u32 LE length prefix (bit 31 = CRC flag), body, optional CRC trailer.
-std::vector<std::uint8_t> wire_image(std::span<const std::uint8_t> frame,
-                                     bool with_crc) {
-  const svc::FrameEnvelope env = svc::frame_envelope(frame, with_crc);
-  std::vector<std::uint8_t> wire(env.wire_bytes(frame.size()));
-  auto out = std::copy(std::begin(env.prefix), std::end(env.prefix),
-                       wire.begin());
-  out = std::copy(frame.begin(), frame.end(), out);
-  std::copy(env.trailer, env.trailer + env.trailer_bytes, out);
-  return wire;
 }
 
 /// Two connected AF_UNIX stream sockets as transports.
@@ -236,7 +223,7 @@ TEST(FrameCrc, ReceiverTurnsStickyAndEchoesTrailers) {
 /// Body-region flips specifically must be kChecksumMismatch: that is the
 /// trailer's whole job.
 void sweep_wire(std::span<const std::uint8_t> frame) {
-  const auto wire = wire_image(frame, /*with_crc=*/true);
+  const auto wire = svc::frame_wire(frame, /*with_crc=*/true);
   const std::size_t body_begin = 4 * 8;
   const std::size_t body_end = (4 + frame.size()) * 8;
   for (std::size_t bit = 0; bit < wire.size() * 8; ++bit) {
@@ -280,7 +267,7 @@ TEST(FrameCrc, EventServerAnswersMismatchAndConnectionSurvives) {
   // Hand-corrupt a checksummed request ON THE WIRE (past the transport's
   // own CRC computation) and ship it raw.
   const auto req = svc::encode_stats_request();
-  auto wire = wire_image(req, /*with_crc=*/true);
+  auto wire = svc::frame_wire(req, /*with_crc=*/true);
   wire[4] ^= 0x40;  // one bit of the body
   ASSERT_TRUE(t->send_raw(wire).ok());
   auto r1 = t->recv_frame();
