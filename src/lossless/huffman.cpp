@@ -36,9 +36,7 @@ int build_lengths(std::span<const std::uint64_t> freq,
   lengths.assign(n, 0);
 
   std::vector<Node> nodes;
-  nodes.reserve(2 * static_cast<std::size_t>(std::count_if(
-                        freq.begin(), freq.end(),
-                        [](std::uint64_t f) { return f != 0; })));
+  nodes.reserve(2 * n);
   using QE = std::pair<std::uint64_t, int>;  // (freq, node index)
   std::priority_queue<QE, std::vector<QE>, std::greater<>> pq;
   for (std::size_t s = 0; s < n; ++s) {

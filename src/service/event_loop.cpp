@@ -8,7 +8,6 @@
 #include <cerrno>
 #include <cinttypes>
 #include <cstring>
-#include <utility>
 
 #include "obs/log.hpp"
 #include "service/protocol.hpp"
@@ -340,18 +339,9 @@ bool EventServer::parse_frames(Conn& c) {
       // on every response from here on (sticky, like the transports).
       c.want_crc = true;
     }
-    std::vector<std::uint8_t> frame;
-    if (c.rbuf.size() == total) {
-      // The buffer holds exactly this frame, as it does whenever requests
-      // are not pipelined: take it over instead of copying the body out.
-      frame = std::exchange(c.rbuf, {});
-      frame.resize(4 + len);
-      frame.erase(frame.begin(), frame.begin() + 4);
-    } else {
-      frame.assign(body.begin(), body.end());
-      c.rbuf.erase(c.rbuf.begin(),
-                   c.rbuf.begin() + static_cast<std::ptrdiff_t>(total));
-    }
+    std::vector<std::uint8_t> frame(body.begin(), body.end());
+    c.rbuf.erase(c.rbuf.begin(),
+                 c.rbuf.begin() + static_cast<std::ptrdiff_t>(total));
     if (admit_frame(c, std::move(frame))) return true;
   }
   return false;
