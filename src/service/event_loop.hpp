@@ -137,8 +137,7 @@ class EventServer {
     int fd = -1;
     std::uint64_t id = 0;
     // Incremental frame reassembly: raw bytes as they arrived; a frame is
-    // extracted the moment its prefix + body are complete, by taking the
-    // buffer over when it holds exactly that frame.
+    // extracted the moment its prefix + body are complete.
     std::vector<std::uint8_t> rbuf;
     // Ordered response slots: requests take seqs in arrival order and
     // responses flush in seq order no matter which finishes first.
